@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
   const int P = 48;  // two Hornet nodes; power of two avoided on purpose? 48 = npof2
   const Topology topo = Topology::hornet(P);
+  const hier::Topology nodes = hier::Topology::uniform(P, topo.cores_per_node());
 
   struct Algo {
     const char* name;
@@ -43,13 +44,13 @@ int main(int argc, char** argv) {
          coll::bcast_ring_pipelined(c, b, r, 65536);
        }},
       {"smp(native-inter)", [&](Comm& c, std::span<std::byte> b, int r) {
-         coll::bcast_smp(c, b, r, topo,
+         coll::bcast_smp(c, b, r, nodes,
                          [](Comm& l, std::span<std::byte> lb, int lr) {
                            coll::bcast_scatter_ring_native(l, lb, lr);
                          });
        }},
       {"smp(tuned-inter)", [&](Comm& c, std::span<std::byte> b, int r) {
-         coll::bcast_smp(c, b, r, topo,
+         coll::bcast_smp(c, b, r, nodes,
                          [](Comm& l, std::span<std::byte> lb, int lr) {
                            core::bcast_scatter_ring_tuned(l, lb, lr);
                          });

@@ -30,6 +30,8 @@ int main(int argc, char** argv) {
   Table t({"np", "nodes", "msg size", "native MB/s", "tuned MB/s", "improvement"});
   for (int P : procs) {
     const Topology topo = Topology::hornet(P);
+    const hier::Topology nodes =
+        hier::Topology::uniform(P, topo.cores_per_node());
     for (std::uint64_t nbytes : sizes) {
       const int iters = opt.quick ? 4 : (nbytes <= 16384 ? 20 : 8);
       netsim::SimSpec spec{topo, netsim::CostModel::hornet(), iters};
@@ -37,7 +39,7 @@ int main(int argc, char** argv) {
         return netsim::simulate_program(
             P, nbytes,
             [&](Comm& c, std::span<std::byte> b) {
-              coll::bcast_smp(c, b, 0, topo,
+              coll::bcast_smp(c, b, 0, nodes,
                               [tuned](Comm& l, std::span<std::byte> lb, int lr) {
                                 if (tuned) {
                                   core::bcast_scatter_ring_tuned(l, lb, lr);

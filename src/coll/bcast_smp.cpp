@@ -14,14 +14,10 @@ namespace {
 constexpr int kLeaderContext = 1;
 constexpr int kNodeContextBase = 2;
 
-// Shared three-phase body, generic over the topology type: the uniform
-// comm/topology.hpp Topology (Block or Cyclic placement) and the ragged
-// hier::Topology expose the same node queries. Leader election is the
-// hier::Topology rule (root leads its node, lowest rank elsewhere),
-// which both entry points share.
-template <typename Topo>
-void bcast_smp_impl(Comm& comm, std::span<std::byte> buffer, int root,
-                    const Topo& topo, const BcastFn& inter_bcast) {
+}  // namespace
+
+void bcast_smp(Comm& comm, std::span<std::byte> buffer, int root,
+               const hier::Topology& topo, const BcastFn& inter_bcast) {
   const int P = comm.size();
   const int me = comm.rank();
   BSB_REQUIRE(topo.nranks() == P, "bcast_smp: topology size != comm size");
@@ -29,12 +25,7 @@ void bcast_smp_impl(Comm& comm, std::span<std::byte> buffer, int root,
 
   const int root_node = topo.node_of(root);
   const int my_node = topo.node_of(me);
-
-  auto leader_of = [&](int node) {
-    return node == root_node ? root : topo.ranks_on_node(node)[0];
-  };
-  const bool i_am_leader = leader_of(my_node) == me;
-
+  const bool i_am_leader = topo.is_leader(me, root);
   const std::vector<int> my_node_ranks = topo.ranks_on_node(my_node);
 
   // Phase 1: broadcast inside the root's node (single-rank nodes skip).
@@ -45,30 +36,16 @@ void bcast_smp_impl(Comm& comm, std::span<std::byte> buffer, int root,
 
   // Phase 2: broadcast across node leaders.
   if (i_am_leader && topo.num_nodes() > 1) {
-    std::vector<int> leaders;
-    leaders.reserve(static_cast<std::size_t>(topo.num_nodes()));
-    for (int n = 0; n < topo.num_nodes(); ++n) leaders.push_back(leader_of(n));
-    SubComm leader_comm(comm, std::move(leaders), kLeaderContext);
+    SubComm leader_comm(comm, topo.leaders(root), kLeaderContext);
     inter_bcast(leader_comm, buffer, root_node);
   }
 
   // Phase 3: broadcast inside every non-root node.
   if (my_node != root_node && my_node_ranks.size() > 1) {
     SubComm node_comm(comm, my_node_ranks, kNodeContextBase + my_node);
-    bcast_binomial(node_comm, buffer, node_comm.local_rank_of(leader_of(my_node)));
+    bcast_binomial(node_comm, buffer,
+                   node_comm.local_rank_of(topo.leader_of(my_node, root)));
   }
-}
-
-}  // namespace
-
-void bcast_smp(Comm& comm, std::span<std::byte> buffer, int root,
-               const Topology& topo, const BcastFn& inter_bcast) {
-  bcast_smp_impl(comm, buffer, root, topo, inter_bcast);
-}
-
-void bcast_smp(Comm& comm, std::span<std::byte> buffer, int root,
-               const hier::Topology& topo, const BcastFn& inter_bcast) {
-  bcast_smp_impl(comm, buffer, root, topo, inter_bcast);
 }
 
 }  // namespace bsb::coll

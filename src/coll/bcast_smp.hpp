@@ -13,20 +13,17 @@
 
 #include "coll/hier/topology.hpp"
 #include "comm/comm.hpp"
-#include "comm/topology.hpp"
 
 namespace bsb::coll {
 
 /// An inter-node broadcast body: (leader comm, buffer, root-leader rank).
 using BcastFn = std::function<void(Comm&, std::span<std::byte>, int)>;
 
-/// `topo.nranks()` must equal comm.size(). The leader of the root's node is
-/// the root itself; other nodes are led by their lowest rank.
-void bcast_smp(Comm& comm, std::span<std::byte> buffer, int root,
-               const Topology& topo, const BcastFn& inter_bcast);
-
-/// bcast_smp over a ragged hier::Topology: non-divisible node sizes,
-/// single-rank nodes and leader != first-rank-of-node shapes all work.
+/// `topo.nranks()` must equal comm.size(). Nodes may be ragged: non-divisible
+/// node sizes, single-rank nodes and leader != first-rank-of-node shapes all
+/// work. Leaders follow hier::Topology::leader_of (the root leads its own
+/// node, the lowest rank every other); hier::Topology::uniform gives the
+/// classic cores-per-node block placement.
 void bcast_smp(Comm& comm, std::span<std::byte> buffer, int root,
                const hier::Topology& topo, const BcastFn& inter_bcast);
 

@@ -4,38 +4,21 @@
 #include <array>
 
 #include "bsbutil/error.hpp"
-#include "bsbutil/math.hpp"
 #include "bsbutil/rng.hpp"
+#include "registry/registry.hpp"
 
 namespace bsb::fuzz {
 
 namespace {
 
-constexpr std::array<Variant, kNumVariants> kAllVariants = {
-    Variant::BcastBinomial,
-    Variant::BcastScatterRd,
-    Variant::BcastScatterRingNative,
-    Variant::BcastScatterRingTuned,
-    Variant::BcastRingPipelined,
-    Variant::BcastSmp,
-    Variant::BcastAuto,
-    Variant::BcastPersistent,
-    Variant::AllgatherRingNative,
-    Variant::AllgatherRingTuned,
-    Variant::AllgatherRecursiveDoubling,
-    Variant::AllgatherBruck,
-    Variant::AllgatherNeighborExchange,
-    Variant::ReduceScatterRing,
-    Variant::ReduceScatterBlocks,
-    Variant::AllreduceRsAgNative,
-    Variant::AllreduceRsAgTuned,
-    Variant::AllreduceRecursiveDoubling,
-    Variant::AllgathervRingNative,
-    Variant::AllgathervRingTuned,
-    Variant::AllgatherBruckHier,
-    Variant::IbcastConcurrent,
-    Variant::BcastHier,
-};
+using registry::collective;
+using registry::Shape;
+
+constexpr std::array<Variant, kNumVariants> kAllVariants = [] {
+  std::array<Variant, kNumVariants> all{};
+  for (int i = 0; i < kNumVariants; ++i) all[i] = static_cast<Variant>(i);
+  return all;
+}();
 
 std::uint64_t case_key(std::uint64_t seed, std::uint64_t index) noexcept {
   return (seed ^ 0x5DEECE66DULL) * 0x100000001b3ULL + index * 0x9e3779b97f4a7c15ULL;
@@ -51,75 +34,27 @@ std::string join_sizes(const std::vector<int>& sizes) {
   return s;
 }
 
+bool uses(const FuzzCase& c, registry::Param p) noexcept {
+  return (collective(c.variant).params & p) != 0;
+}
+
 }  // namespace
 
 bool is_block_allgather(Variant v) noexcept {
-  switch (v) {
-    case Variant::AllgatherRingNative:
-    case Variant::AllgatherRingTuned:
-    case Variant::AllgatherRecursiveDoubling:
-    case Variant::AllgatherBruck:
-    case Variant::AllgatherNeighborExchange:
-    case Variant::AllgatherBruckHier:
-      return true;
-    default:
-      return false;
-  }
+  return collective(v).shape == Shape::BlockAllgather;
 }
 
 bool is_reduce_family(Variant v) noexcept {
-  switch (v) {
-    case Variant::ReduceScatterRing:
-    case Variant::ReduceScatterBlocks:
-    case Variant::AllreduceRsAgNative:
-    case Variant::AllreduceRsAgTuned:
-    case Variant::AllreduceRecursiveDoubling:
-      return true;
-    default:
-      return false;
-  }
+  return collective(v).shape == Shape::ReductionGrain;
 }
 
 bool is_allgatherv(Variant v) noexcept {
-  return v == Variant::AllgathervRingNative ||
-         v == Variant::AllgathervRingTuned;
+  return collective(v).shape == Shape::Skewed;
 }
 
-bool is_rootless(Variant v) noexcept {
-  return v == Variant::AllgatherBruck ||
-         v == Variant::AllgatherNeighborExchange ||
-         v == Variant::AllreduceRecursiveDoubling ||
-         v == Variant::AllgatherBruckHier;
-}
+bool is_rootless(Variant v) noexcept { return collective(v).rootless; }
 
-const char* to_string(Variant v) noexcept {
-  switch (v) {
-    case Variant::BcastBinomial: return "bcast-binomial";
-    case Variant::BcastScatterRd: return "bcast-scatter-rd";
-    case Variant::BcastScatterRingNative: return "bcast-scatter-ring-native";
-    case Variant::BcastScatterRingTuned: return "bcast-scatter-ring-tuned";
-    case Variant::BcastRingPipelined: return "bcast-ring-pipelined";
-    case Variant::BcastSmp: return "bcast-smp";
-    case Variant::BcastAuto: return "bcast-auto";
-    case Variant::BcastPersistent: return "bcast-persistent";
-    case Variant::AllgatherRingNative: return "allgather-ring-native";
-    case Variant::AllgatherRingTuned: return "allgather-ring-tuned";
-    case Variant::AllgatherRecursiveDoubling: return "allgather-recursive-doubling";
-    case Variant::AllgatherBruck: return "allgather-bruck";
-    case Variant::AllgatherNeighborExchange: return "allgather-neighbor-exchange";
-    case Variant::ReduceScatterRing: return "reduce-scatter-ring";
-    case Variant::ReduceScatterBlocks: return "reduce-scatter-blocks";
-    case Variant::AllreduceRsAgNative: return "allreduce-rsag-native";
-    case Variant::AllreduceRsAgTuned: return "allreduce-rsag-tuned";
-    case Variant::AllreduceRecursiveDoubling: return "allreduce-recursive-doubling";
-    case Variant::AllgathervRingNative: return "allgatherv-ring-native";
-    case Variant::AllgathervRingTuned: return "allgatherv-ring-tuned";
-    case Variant::AllgatherBruckHier: return "allgather-bruck-hier";
-    case Variant::IbcastConcurrent: return "ibcast-concurrent";
-    case Variant::BcastHier: return "bcast-hier";
-  }
-  return "?";
-}
+const char* to_string(Variant v) noexcept { return collective(v).name; }
 
 std::optional<Variant> variant_from_string(const std::string& name) {
   for (const Variant v : kAllVariants) {
@@ -132,24 +67,23 @@ std::span<const Variant> all_variants() noexcept { return kAllVariants; }
 
 int fit_ranks(Variant v, int nranks) noexcept {
   int n = std::max(nranks, 2);
-  switch (v) {
-    case Variant::BcastScatterRd:
-    case Variant::AllgatherRecursiveDoubling:
-    case Variant::AllreduceRecursiveDoubling:
+  switch (collective(v).ranks) {
+    case registry::RankRule::Pow2:
       // Round down to a power of two.
       while ((n & (n - 1)) != 0) n &= n - 1;
       return std::max(n, 2);
-    case Variant::AllgatherNeighborExchange:
+    case registry::RankRule::Even:
       return n % 2 == 0 ? n : n - 1;
-    default:
+    case registry::RankRule::Any:
       return n;
   }
+  return n;
 }
 
 FuzzCase normalize_case(FuzzCase c) {
   c.nranks = fit_ranks(c.variant, c.nranks);
   c.root = is_rootless(c.variant) ? 0 : c.root % c.nranks;
-  if (c.variant == Variant::BcastHier) {
+  if (collective(c.variant).shape == Shape::Hier) {
     // Refit the node shape so positive sizes sum to exactly nranks: keep
     // the sampled sizes as a prefix, clamp the straddler, extend with a
     // remainder node, drop the tail. An empty shape falls back to a
@@ -198,7 +132,7 @@ FuzzCase sample_case(std::uint64_t seed, std::uint64_t index,
   c.index = index;
   c.watchdog_seconds = opt.watchdog_seconds;
 
-  c.variant = kAllVariants[rng.next_below(kNumVariants)];
+  c.variant = static_cast<Variant>(rng.next_below(kNumVariants));
 
   // Process count: biased towards small groups (where the interesting
   // npof2/prime structure lives), with a tail up to max_ranks.
@@ -282,7 +216,7 @@ FuzzCase sample_case(std::uint64_t seed, std::uint64_t index,
       0, 64, 1024, 12288, 65536, std::size_t{1} << 30};
   c.eager_threshold = kEager[rng.next_below(kEager.size())];
 
-  if (c.variant == Variant::BcastHier) {
+  if (collective(c.variant).shape == Shape::Hier) {
     // Node shape: single node (pure fan-out), all-singleton (degenerate
     // flat ring over every rank), uniform at the sampled cores/node, or a
     // fully ragged random split with occasional 1-core nodes.
@@ -322,18 +256,17 @@ std::string describe(const FuzzCase& c) {
   s += " root=" + std::to_string(c.root);
   s += " bytes=" + std::to_string(c.nbytes);
   s += " eager=" + std::to_string(c.eager_threshold);
-  if (c.variant == Variant::BcastRingPipelined) {
+  if (uses(c, registry::kSegment)) {
     s += " segment=" + std::to_string(c.segment_bytes);
   }
-  if (c.variant == Variant::BcastSmp || c.variant == Variant::AllgatherBruckHier) {
+  if (uses(c, registry::kCores)) {
     s += " cores/node=" + std::to_string(c.smp_cores_per_node);
   }
-  if (c.variant == Variant::BcastHier) {
+  if (collective(c.variant).shape == Shape::Hier) {
     s += " nodes=" + join_sizes(c.node_sizes) +
          " tuned=" + (c.use_tuned_ring ? "1" : "0");
   }
-  if (c.variant == Variant::BcastAuto || c.variant == Variant::BcastPersistent ||
-      c.variant == Variant::IbcastConcurrent) {
+  if (uses(c, registry::kSelector)) {
     s += " smsg=" + std::to_string(c.smsg_limit) +
          " mmsg=" + std::to_string(c.mmsg_limit) +
          " tuned=" + (c.use_tuned_ring ? "1" : "0");
@@ -370,18 +303,17 @@ std::string explicit_reproducer(const FuzzCase& c) {
   s += " --root=" + std::to_string(c.root);
   s += " --bytes=" + std::to_string(c.nbytes);
   s += " --eager=" + std::to_string(c.eager_threshold);
-  if (c.variant == Variant::BcastRingPipelined) {
+  if (uses(c, registry::kSegment)) {
     s += " --segment=" + std::to_string(c.segment_bytes);
   }
-  if (c.variant == Variant::BcastSmp || c.variant == Variant::AllgatherBruckHier) {
+  if (uses(c, registry::kCores)) {
     s += " --smp-cores=" + std::to_string(c.smp_cores_per_node);
   }
-  if (c.variant == Variant::BcastHier) {
+  if (collective(c.variant).shape == Shape::Hier) {
     s += " --nodes=" + join_sizes(c.node_sizes) +
          " --tuned=" + (c.use_tuned_ring ? "1" : "0");
   }
-  if (c.variant == Variant::BcastAuto || c.variant == Variant::BcastPersistent ||
-      c.variant == Variant::IbcastConcurrent) {
+  if (uses(c, registry::kSelector)) {
     s += " --smsg=" + std::to_string(c.smsg_limit) +
          " --mmsg=" + std::to_string(c.mmsg_limit) +
          " --tuned=" + (c.use_tuned_ring ? "1" : "0");

@@ -6,18 +6,21 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "coll/reduce_ops.hpp"
+#include "comm/comm.hpp"
 #include "mpisim/world.hpp"
 
 namespace bsb::fuzz {
 
 /// Every broadcast/allgather/reduction implementation in src/coll and
-/// src/core.
+/// src/core. Each has one descriptor row in registry/registry.cpp, which
+/// holds everything else known about it.
 enum class Variant : std::uint8_t {
   BcastBinomial,
   BcastScatterRd,          // requires power-of-two ranks
@@ -68,8 +71,7 @@ std::span<const Variant> all_variants() noexcept;
 /// variant's structural requirement (power-of-two / even / >= 2).
 int fit_ranks(Variant v, int nranks) noexcept;
 
-/// Variant classification, shared by the generator, the shrinker and the
-/// verifier so shape constraints stay in one place.
+/// Shape classification, read from the variant's registry row.
 /// Reduction family: needs (op, dtype) and nbytes % (P * elem) == 0.
 bool is_reduce_family(Variant v) noexcept;
 /// Skewed-block family: needs skew_seed; ANY nbytes is legal.
@@ -78,6 +80,31 @@ bool is_allgatherv(Variant v) noexcept;
 bool is_block_allgather(Variant v) noexcept;
 /// Variants with no root parameter (root pinned to 0).
 bool is_rootless(Variant v) noexcept;
+
+/// One rank's program for a fuzz case; identical code drives the symbolic
+/// recording, the threaded execution, and the static verifier.
+using RankBody = std::function<void(Comm&, std::span<std::byte>)>;
+
+/// Deliberate schedule corruption for the harness self-test: proves the
+/// detectors catch exactly the class of bug the pairing invariant guards
+/// against. Each variant's registry row names the one sabotage its program
+/// honours.
+enum class Sabotage : std::uint8_t {
+  None,
+  /// plan.step += 1 inside the tuned ring (off-by-one in the special
+  /// phase). Only perturbs the tuned-ring variants.
+  RingPlanStepOffByOne,
+  /// reduce_scatter_blocks_ring ships every finished chunk TWICE to the
+  /// nearest ancestor: values stay correct, but the transfer counts break
+  /// and bsb-verify's reduce-flow pass must produce a redundancy witness.
+  /// Only perturbs Variant::ReduceScatterBlocks.
+  ReduceScatterDoubleFinal,
+  /// bcast_hier leaders deliver the buffer TWICE to every non-leader of
+  /// their node: values stay correct, but the intra-node transfer count
+  /// doubles and bsb-verify's redundancy pass must produce a witness.
+  /// Only perturbs Variant::BcastHier.
+  HierDoubleFanout,
+};
 
 struct FuzzCase;
 
@@ -117,6 +144,12 @@ struct FuzzCase {
   // Empty means "derive a uniform shape from smp_cores_per_node".
   std::vector<int> node_sizes;
 };
+
+/// Pattern seed for the case's byte oracle; initial garbage uses its
+/// complement so untouched bytes are always detected.
+inline std::uint64_t oracle_seed(const FuzzCase& c) noexcept {
+  return c.seed * 0x9e3779b97f4a7c15ULL + c.index * 0x100000001b3ULL + 1;
+}
 
 /// Bounds and feature toggles for the generator.
 struct GeneratorOptions {

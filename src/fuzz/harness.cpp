@@ -13,38 +13,17 @@ namespace {
 FuzzCase force_sabotageable_variant(FuzzCase c, Sabotage sabotage) {
   if (sabotage == Sabotage::ReduceScatterDoubleFinal) {
     c.variant = Variant::ReduceScatterBlocks;
-    c.nranks = fit_ranks(c.variant, c.nranks);
-    c.root = c.root % c.nranks;
-    const std::uint64_t grain =
-        static_cast<std::uint64_t>(c.nranks) * coll::elem_bytes(c.red_dtype);
-    c.nbytes -= c.nbytes % grain;
-    if (c.nbytes == 0) c.nbytes = grain;
-    return c;
-  }
-  if (sabotage == Sabotage::HierDoubleFanout) {
+  } else if (sabotage == Sabotage::HierDoubleFanout) {
     c.variant = Variant::BcastHier;
-    return normalize_case(std::move(c));
+  } else {
+    switch (c.index % 4) {
+      case 0: c.variant = Variant::BcastScatterRingTuned; break;
+      case 1: c.variant = Variant::AllgatherRingTuned; break;
+      case 2: c.variant = Variant::AllgathervRingTuned; break;
+      default: c.variant = Variant::AllreduceRsAgTuned; break;
+    }
   }
-  switch (c.index % 4) {
-    case 0: c.variant = Variant::BcastScatterRingTuned; break;
-    case 1: c.variant = Variant::AllgatherRingTuned; break;
-    case 2: c.variant = Variant::AllgathervRingTuned; break;
-    default: c.variant = Variant::AllreduceRsAgTuned; break;
-  }
-  c.nranks = fit_ranks(c.variant, c.nranks);
-  c.root = c.root % c.nranks;
-  if (c.variant == Variant::AllgatherRingTuned) {
-    std::uint64_t block = c.nbytes / static_cast<std::uint64_t>(c.nranks);
-    if (block == 0) block = 1;
-    c.nbytes = block * static_cast<std::uint64_t>(c.nranks);
-  }
-  if (c.variant == Variant::AllreduceRsAgTuned) {
-    const std::uint64_t grain =
-        static_cast<std::uint64_t>(c.nranks) * coll::elem_bytes(c.red_dtype);
-    c.nbytes -= c.nbytes % grain;
-    if (c.nbytes == 0) c.nbytes = grain;
-  }
-  return c;
+  return normalize_case(std::move(c));
 }
 
 }  // namespace

@@ -1,341 +1,39 @@
 #include "fuzz/runner.hpp"
 
-#include <functional>
 #include <mutex>
-#include <utility>
 #include <vector>
-
-#include "bsbutil/math.hpp"
 
 #include "bsbutil/error.hpp"
 #include "bsbutil/rng.hpp"
-#include "coll/allgather_bruck.hpp"
-#include "coll/allgather_neighbor_exchange.hpp"
-#include "coll/allgather_recursive_doubling.hpp"
-#include "coll/allgather_ring_native.hpp"
-#include "coll/bcast_binomial.hpp"
-#include "coll/bcast_ring_pipelined.hpp"
-#include "coll/bcast_scatter_rd.hpp"
-#include "coll/bcast_scatter_ring_native.hpp"
-#include "coll/allgather_bruck_hier.hpp"
-#include "coll/allgatherv_ring.hpp"
-#include "coll/bcast_smp.hpp"
-#include "coll/hier/bcast_hier.hpp"
-#include "coll/hier/topology.hpp"
 #include "coll/reduce_ops.hpp"
-#include "coll/reduce_scatter_ring.hpp"
-#include "coll/scatter_binomial.hpp"
 #include "comm/chunks.hpp"
-#include "comm/topology.hpp"
-#include "comm/vchunks.hpp"
-#include "core/allgather_ring_tuned.hpp"
-#include "core/allgatherv_ring_tuned.hpp"
-#include "core/allreduce_rsag.hpp"
-#include "core/bcast.hpp"
-#include "core/bcast_scatter_ring_tuned.hpp"
-#include "core/persistent_bcast.hpp"
-#include "core/ring_plan.hpp"
-#include "core/transfer_analysis.hpp"
-#include "core/icoll.hpp"
-#include "mpisim/progress.hpp"
 #include "mpisim/thread_comm.hpp"
 #include "mpisim/world.hpp"
-#include "trace/counters.hpp"
+#include "registry/registry.hpp"
 #include "trace/match.hpp"
 #include "trace/record.hpp"
 
 namespace bsb::fuzz {
 
-namespace {
-
-core::RingPlanFn plan_fn_for(Sabotage sabotage) {
-  if (sabotage == Sabotage::RingPlanStepOffByOne) {
-    return [](int rel, int P) {
-      core::RingPlan plan = core::compute_ring_plan(rel, P);
-      plan.step += 1;  // the bug class the pairing invariant forbids
-      return plan;
-    };
-  }
-  return core::compute_ring_plan;
-}
-
-core::BcastConfig selector_config(const FuzzCase& c) {
-  core::BcastConfig cfg;
-  cfg.smsg_limit = c.smsg_limit;
-  cfg.mmsg_limit = c.mmsg_limit;
-  cfg.use_tuned_ring = c.use_tuned_ring;
-  return cfg;
-}
-
-/// Pattern seed for the case's oracle; initial garbage uses its complement
-/// so untouched bytes are always detected.
-std::uint64_t oracle_seed(const FuzzCase& c) noexcept {
-  return c.seed * 0x9e3779b97f4a7c15ULL + c.index * 0x100000001b3ULL + 1;
-}
-
-/// Distinct oracle seed for IbcastConcurrent's k-th companion broadcast
-/// (k in [1, kIbcastDepth)); the primary buffer keeps oracle_seed itself.
-std::uint64_t companion_seed(std::uint64_t ps, int k) noexcept {
-  return ps ^ (0xc2b2ae3d27d4eb4fULL * static_cast<std::uint64_t>(k));
-}
-
-}  // namespace
-
 RankBody make_rank_body(const FuzzCase& c, Sabotage sabotage) {
-  const int root = c.root;
-  switch (c.variant) {
-    case Variant::BcastBinomial:
-      return [root](Comm& comm, std::span<std::byte> buf) {
-        coll::bcast_binomial(comm, buf, root);
-      };
-    case Variant::BcastScatterRd:
-      return [root](Comm& comm, std::span<std::byte> buf) {
-        coll::bcast_scatter_rd(comm, buf, root);
-      };
-    case Variant::BcastScatterRingNative:
-      return [root](Comm& comm, std::span<std::byte> buf) {
-        coll::bcast_scatter_ring_native(comm, buf, root);
-      };
-    case Variant::BcastScatterRingTuned:
-      return [root, sabotage](Comm& comm, std::span<std::byte> buf) {
-        const ChunkLayout layout(buf.size(), comm.size());
-        coll::scatter_binomial(comm, buf, root, layout);
-        core::allgather_ring_tuned(comm, buf, root, layout, plan_fn_for(sabotage));
-      };
-    case Variant::BcastRingPipelined:
-      return [root, seg = c.segment_bytes](Comm& comm, std::span<std::byte> buf) {
-        coll::bcast_ring_pipelined(comm, buf, root, seg);
-      };
-    case Variant::BcastSmp:
-      return [root, cores = c.smp_cores_per_node](Comm& comm,
-                                                  std::span<std::byte> buf) {
-        const Topology topo(comm.size(), cores, Placement::Block);
-        coll::bcast_smp(comm, buf, root, topo,
-                        [](Comm& leaders, std::span<std::byte> b, int r) {
-                          core::bcast_scatter_ring_tuned(leaders, b, r);
-                        });
-      };
-    case Variant::BcastAuto:
-      return [root, cfg = selector_config(c)](Comm& comm,
-                                              std::span<std::byte> buf) {
-        core::bcast(comm, buf, root, cfg);
-      };
-    case Variant::BcastPersistent:
-      return [root, cfg = selector_config(c)](Comm& comm,
-                                              std::span<std::byte> buf) {
-        const core::PersistentBcast plan(comm, buf.size(), root, cfg);
-        plan.execute(buf);
-      };
-    case Variant::AllgatherRingNative:
-      return [root](Comm& comm, std::span<std::byte> buf) {
-        const ChunkLayout layout(buf.size(), comm.size());
-        coll::allgather_ring_native(comm, buf, root, layout);
-      };
-    case Variant::AllgatherRingTuned:
-      return [root, sabotage](Comm& comm, std::span<std::byte> buf) {
-        const ChunkLayout layout(buf.size(), comm.size());
-        core::allgather_ring_tuned(comm, buf, root, layout, plan_fn_for(sabotage));
-      };
-    case Variant::AllgatherRecursiveDoubling:
-      return [root](Comm& comm, std::span<std::byte> buf) {
-        const ChunkLayout layout(buf.size(), comm.size());
-        coll::allgather_recursive_doubling(comm, buf, root, layout);
-      };
-    case Variant::AllgatherBruck:
-      return [](Comm& comm, std::span<std::byte> buf) {
-        coll::allgather_bruck(comm, buf, buf.size() / comm.size());
-      };
-    case Variant::AllgatherNeighborExchange:
-      return [](Comm& comm, std::span<std::byte> buf) {
-        coll::allgather_neighbor_exchange(comm, buf,
-                                          buf.size() / comm.size());
-      };
-    case Variant::ReduceScatterRing:
-      return [root, op = c.red_op, dt = c.red_dtype](Comm& comm,
-                                                     std::span<std::byte> buf) {
-        coll::reduce_scatter_ring(comm, buf, root, op, dt);
-      };
-    case Variant::ReduceScatterBlocks:
-      return [root, op = c.red_op, dt = c.red_dtype,
-              sabotage](Comm& comm, std::span<std::byte> buf) {
-        coll::ReduceScatterBlocksOptions opts;
-        opts.sabotage_double_final = sabotage == Sabotage::ReduceScatterDoubleFinal;
-        coll::reduce_scatter_blocks_ring(comm, buf, root, op, dt, opts);
-      };
-    case Variant::AllreduceRsAgNative:
-      return [root, op = c.red_op, dt = c.red_dtype](Comm& comm,
-                                                     std::span<std::byte> buf) {
-        core::allreduce_rsag_native(comm, buf, root, op, dt);
-      };
-    case Variant::AllreduceRsAgTuned:
-      return [root, op = c.red_op, dt = c.red_dtype,
-              sabotage](Comm& comm, std::span<std::byte> buf) {
-        core::allreduce_rsag_tuned(comm, buf, root, op, dt, plan_fn_for(sabotage));
-      };
-    case Variant::AllreduceRecursiveDoubling:
-      return [op = c.red_op, dt = c.red_dtype](Comm& comm,
-                                               std::span<std::byte> buf) {
-        coll::allreduce_typed(comm, buf, op, dt);
-      };
-    case Variant::AllgathervRingNative:
-      return [root, skew = c.skew_seed](Comm& comm, std::span<std::byte> buf) {
-        const VarLayout layout(skewed_counts(comm.size(), buf.size(), skew));
-        coll::allgatherv_ring_native(comm, buf, root, layout);
-      };
-    case Variant::AllgathervRingTuned:
-      return [root, skew = c.skew_seed, sabotage](Comm& comm,
-                                                  std::span<std::byte> buf) {
-        const VarLayout layout(skewed_counts(comm.size(), buf.size(), skew));
-        core::allgatherv_ring_tuned(comm, buf, root, layout,
-                                    plan_fn_for(sabotage));
-      };
-    case Variant::AllgatherBruckHier:
-      return [cores = c.smp_cores_per_node](Comm& comm,
-                                            std::span<std::byte> buf) {
-        coll::allgather_bruck_hier(comm, buf, buf.size() / comm.size(), cores);
-      };
-    case Variant::IbcastConcurrent:
-      // kIbcastDepth broadcasts (staggered roots) in flight at once on the
-      // progress engine: the primary collective runs on `buf`, the
-      // companions on body-local buffers whose oracle is checked right
-      // here. Under the recorder there is no engine (and no data), so the
-      // same broadcasts run back to back — a nonblocking collective moves
-      // exactly its blocking counterpart's message multiset either way.
-      return [root, cfg = selector_config(c), ps = oracle_seed(c)](
-                 Comm& comm, std::span<std::byte> buf) {
-        const int P = comm.size();
-        std::vector<std::vector<std::byte>> side(
-            static_cast<std::size_t>(kIbcastDepth - 1));
-        for (std::size_t k = 0; k < side.size(); ++k) {
-          side[k].resize(buf.size());
-          const std::uint64_t cs = companion_seed(ps, static_cast<int>(k) + 1);
-          const int r = (root + static_cast<int>(k) + 1) % P;
-          fill_pattern(side[k], comm.rank() == r ? cs : ~cs);
-        }
-        auto* tc = dynamic_cast<mpisim::ThreadComm*>(&comm);
-        if (tc == nullptr) {
-          core::bcast(comm, buf, root, cfg);
-          for (std::size_t k = 0; k < side.size(); ++k) {
-            core::bcast(comm, side[k], (root + static_cast<int>(k) + 1) % P,
-                        cfg);
-          }
-          return;
-        }
-        std::vector<mpisim::CollRequest> reqs;
-        reqs.push_back(core::ibcast(*tc, buf, root, cfg));
-        for (std::size_t k = 0; k < side.size(); ++k) {
-          reqs.push_back(core::ibcast(*tc, side[k],
-                                      (root + static_cast<int>(k) + 1) % P,
-                                      cfg));
-        }
-        // A few nonblocking passes while everything is in flight, then
-        // complete out of start order (the lifetime rules allow both).
-        for (int pass = 0; pass < 3; ++pass) {
-          for (auto& r : reqs) (void)r.test();
-        }
-        mpisim::wait_all_coll(reqs);
-        for (std::size_t k = 0; k < side.size(); ++k) {
-          const std::uint64_t cs = companion_seed(ps, static_cast<int>(k) + 1);
-          const std::size_t bad = first_pattern_mismatch(side[k], cs);
-          BSB_REQUIRE(bad == side[k].size(),
-                      "ibcast companion oracle mismatch");
-        }
-      };
-    case Variant::BcastHier:
-      return [root, sizes = c.node_sizes, tuned = c.use_tuned_ring,
-              sabotage](Comm& comm, std::span<std::byte> buf) {
-        const hier::Topology topo(sizes);
-        core::HierBcastOptions opts;
-        opts.tuned = tuned;
-        opts.sabotage_double_fanout = sabotage == Sabotage::HierDoubleFanout;
-        core::bcast_hier(comm, buf, root, topo, opts);
-      };
-  }
-  BSB_ASSERT(false, "make_rank_body: unknown variant");
+  return [c, sabotage, program = registry::collective(c.variant).program](
+             Comm& comm, std::span<std::byte> buf) {
+    program(c, sabotage, comm, buf);
+  };
 }
 
 namespace {
-
-/// Pre-collective buffer contents for `rank`: the bytes the variant's
-/// contract says the rank contributes (at their home offsets), garbage
-/// everywhere else.
-void fill_initial(const FuzzCase& c, int rank, std::span<std::byte> buf) {
-  const std::uint64_t ps = oracle_seed(c);
-  fill_pattern(buf, ~ps);  // garbage
-  switch (c.variant) {
-    case Variant::BcastBinomial:
-    case Variant::BcastScatterRd:
-    case Variant::BcastScatterRingNative:
-    case Variant::BcastScatterRingTuned:
-    case Variant::BcastRingPipelined:
-    case Variant::BcastSmp:
-    case Variant::BcastAuto:
-    case Variant::BcastPersistent:
-    case Variant::BcastHier:
-    case Variant::IbcastConcurrent:  // companions are seeded in the body
-      if (rank == c.root) fill_pattern(buf, ps);
-      return;
-    case Variant::AllgatherRingNative: {
-      // The native ring assumes only the rank's own chunk.
-      const ChunkLayout layout(buf.size(), c.nranks);
-      const int rel = rel_rank(rank, c.root, c.nranks);
-      fill_pattern(layout.chunk(buf, rel), ps, layout.disp(rel));
-      return;
-    }
-    case Variant::AllgatherRingTuned:
-    case Variant::AllgatherRecursiveDoubling: {
-      // These run over scatter_binomial output: the rank owns its whole
-      // binomial-subtree chunk block (the tuned ring exploits exactly
-      // that, so seeding only the own chunk would be a contract breach).
-      const ChunkLayout layout(buf.size(), c.nranks);
-      const int rel = rel_rank(rank, c.root, c.nranks);
-      const std::uint64_t off = layout.disp(rel);
-      const std::uint64_t len = coll::scatter_block_bytes(rel, layout);
-      fill_pattern(buf.subspan(off, len), ps, off);
-      return;
-    }
-    case Variant::AllgatherBruck:
-    case Variant::AllgatherNeighborExchange:
-    case Variant::AllgatherBruckHier: {
-      const std::uint64_t block =
-          buf.size() / static_cast<std::uint64_t>(c.nranks);
-      const std::uint64_t off = static_cast<std::uint64_t>(rank) * block;
-      fill_pattern(buf.subspan(off, block), ps, off);
-      return;
-    }
-    case Variant::AllgathervRingNative:
-    case Variant::AllgathervRingTuned: {
-      // Like the tuned uniform ring, the allgatherv family runs over
-      // post-scatter BLOCK ownership (the tuned variant's skips depend on
-      // it); the skewed layout decides how many bytes that block weighs.
-      const VarLayout layout(skewed_counts(c.nranks, buf.size(), c.skew_seed));
-      const int rel = rel_rank(rank, c.root, c.nranks);
-      const int span = coll::scatter_subtree_span(rel, c.nranks);
-      const std::uint64_t off = layout.disp(rel);
-      fill_pattern(buf.subspan(off, layout.range_count(rel, span)), ps, off);
-      return;
-    }
-    case Variant::ReduceScatterRing:
-    case Variant::ReduceScatterBlocks:
-    case Variant::AllreduceRsAgNative:
-    case Variant::AllreduceRsAgTuned:
-    case Variant::AllreduceRecursiveDoubling:
-      // Reductions: every byte of every rank is a live contribution.
-      coll::fill_contributions(c.red_dtype, ps, rank, 0, buf);
-      return;
-  }
-}
 
 /// The byte-exact post-reduction buffer every rank's checked region must
 /// match: chunk c's elements folded in ring arrival order (or the
-/// recursive-doubling tree for that variant). Computed once per case, not
-/// per rank — the fold is O(P) per element.
+/// recursive-doubling tree for TreeFold). Computed once per case, not per
+/// rank — the fold is O(P) per element.
 std::vector<std::byte> reduce_expected_buffer(const FuzzCase& c) {
   const std::uint64_t ps = oracle_seed(c);
   const std::uint64_t es = coll::elem_bytes(c.red_dtype);
   std::vector<std::byte> expected(c.nbytes);
   if (c.nbytes == 0) return expected;
-  if (c.variant == Variant::AllreduceRecursiveDoubling) {
+  if (registry::collective(c.variant).oracle == registry::Oracle::TreeFold) {
     for (std::uint64_t off = 0; off < c.nbytes; off += es) {
       coll::rd_reduced_value(c.red_op, c.red_dtype, ps, c.nranks, off / es,
                              std::span<std::byte>(expected).subspan(off, es));
@@ -355,32 +53,10 @@ std::vector<std::byte> reduce_expected_buffer(const FuzzCase& c) {
   return expected;
 }
 
-/// Byte range of `rank`'s buffer that must equal the reduction oracle.
-std::pair<std::uint64_t, std::uint64_t> reduce_checked_range(const FuzzCase& c,
-                                                             int rank) {
-  const int rel = rel_rank(rank, c.root, c.nranks);
-  const ChunkLayout layout(c.nbytes, c.nranks);
-  switch (c.variant) {
-    case Variant::ReduceScatterRing:
-      return {layout.disp(rel), layout.count(rel)};
-    case Variant::ReduceScatterBlocks:
-      return {layout.disp(rel),
-              layout.range_count(rel, coll::scatter_subtree_span(rel, c.nranks))};
-    default:
-      return {0, c.nbytes};  // the allreduce variants: the whole buffer
-  }
-}
-
-std::string check_counts(const std::string& what, std::uint64_t got,
-                         std::uint64_t want) {
-  if (got == want) return {};
-  return what + ": got " + std::to_string(got) + ", closed form " +
-         std::to_string(want) + "; ";
-}
-
-/// Record the schedule, match it, and compare its per-rank / total transfer
-/// counts against the closed forms. Returns the first discrepancy (empty =
-/// clean) and the schedule's total send count via `total_sends`.
+/// Record the schedule, match it, and check its total and per-rank transfer
+/// counts against the registry's closed forms with the same checker as
+/// bsb-verify. Returns the discrepancies (empty = clean) and the schedule's
+/// total send count via `total_sends`.
 std::string symbolic_check(const FuzzCase& c, const RankBody& body,
                            std::uint64_t* total_sends) {
   trace::Schedule sched;
@@ -395,167 +71,11 @@ std::string symbolic_check(const FuzzCase& c, const RankBody& body,
   } catch (const Error& e) {
     return std::string("schedule does not match up: ") + e.what();
   }
-
-  const int P = c.nranks;
+  std::vector<std::string> failures;
+  registry::check_transfers(sched, registry::collective(c.variant).expect(c),
+                            &failures);
   std::string err;
-  const auto per_rank = trace::per_rank_op_counts(sched);
-  switch (c.variant) {
-    case Variant::BcastBinomial:
-      err += check_counts("binomial total msgs", sched.total_sends(),
-                          static_cast<std::uint64_t>(P - 1));
-      break;
-    case Variant::BcastScatterRingNative:
-      err += check_counts(
-          "scatter+native-ring total msgs", sched.total_sends(),
-          core::scatter_transfers(P, c.nbytes) + core::native_ring_transfers(P));
-      break;
-    case Variant::BcastScatterRingTuned:
-      err += check_counts(
-          "scatter+tuned-ring total msgs", sched.total_sends(),
-          core::scatter_transfers(P, c.nbytes) + core::tuned_ring_transfers(P));
-      break;
-    case Variant::AllgatherRingNative:
-      err += check_counts("native-ring total msgs", sched.total_sends(),
-                          core::native_ring_transfers(P));
-      for (int r = 0; err.empty() && r < P; ++r) {
-        err += check_counts("native-ring per-rank sends", per_rank[r].sends,
-                            static_cast<std::uint64_t>(P - 1));
-        err += check_counts("native-ring per-rank recvs", per_rank[r].recvs,
-                            static_cast<std::uint64_t>(P - 1));
-      }
-      break;
-    case Variant::AllgatherRingTuned:
-      err += check_counts("tuned-ring total msgs", sched.total_sends(),
-                          core::tuned_ring_transfers(P));
-      for (int r = 0; err.empty() && r < P; ++r) {
-        const core::RingPlan plan =
-            core::compute_ring_plan(rel_rank(r, c.root, P), P);
-        err += check_counts(
-            "tuned-ring per-rank sends", per_rank[r].sends,
-            static_cast<std::uint64_t>(core::tuned_sends(plan, P)));
-        err += check_counts(
-            "tuned-ring per-rank recvs", per_rank[r].recvs,
-            static_cast<std::uint64_t>(core::tuned_recvs(plan, P)));
-      }
-      break;
-    case Variant::BcastAuto:
-    case Variant::BcastPersistent:
-    case Variant::IbcastConcurrent: {
-      // IbcastConcurrent runs kIbcastDepth independent broadcasts of the
-      // same shape; root stagger never changes the count.
-      const std::uint64_t mult =
-          c.variant == Variant::IbcastConcurrent
-              ? static_cast<std::uint64_t>(kIbcastDepth)
-              : 1;
-      const core::BcastAlgorithm algo =
-          core::choose_bcast_algorithm(c.nbytes, P, selector_config(c));
-      if (algo == core::BcastAlgorithm::Binomial) {
-        err += check_counts("auto(binomial) total msgs", sched.total_sends(),
-                            mult * static_cast<std::uint64_t>(P - 1));
-      } else if (algo == core::BcastAlgorithm::ScatterRingNative) {
-        err += check_counts("auto(native-ring) total msgs", sched.total_sends(),
-                            mult * (core::scatter_transfers(P, c.nbytes) +
-                                    core::native_ring_transfers(P)));
-      } else if (algo == core::BcastAlgorithm::ScatterRingTuned) {
-        err += check_counts("auto(tuned-ring) total msgs", sched.total_sends(),
-                            mult * (core::scatter_transfers(P, c.nbytes) +
-                                    core::tuned_ring_transfers(P)));
-      }
-      break;
-    }
-    case Variant::ReduceScatterRing:
-    case Variant::AllgathervRingNative:
-      err += check_counts(to_string(c.variant) + std::string(" total msgs"),
-                          sched.total_sends(), core::native_ring_transfers(P));
-      for (int r = 0; err.empty() && r < P; ++r) {
-        err += check_counts("ring per-rank sends", per_rank[r].sends,
-                            static_cast<std::uint64_t>(P - 1));
-        err += check_counts("ring per-rank recvs", per_rank[r].recvs,
-                            static_cast<std::uint64_t>(P - 1));
-      }
-      break;
-    case Variant::ReduceScatterBlocks:
-      err += check_counts("blocked-rs total msgs", sched.total_sends(),
-                          core::blocked_reduce_scatter_transfers(P));
-      for (int r = 0; err.empty() && r < P; ++r) {
-        const int rel = rel_rank(r, c.root, P);
-        err += check_counts(
-            "blocked-rs per-rank sends", per_rank[r].sends,
-            static_cast<std::uint64_t>(P - 1 + core::block_ancestors(rel)));
-        err += check_counts(
-            "blocked-rs per-rank recvs", per_rank[r].recvs,
-            static_cast<std::uint64_t>(P - 1 +
-                                       coll::scatter_subtree_span(rel, P) - 1));
-      }
-      break;
-    case Variant::AllreduceRsAgNative:
-      err += check_counts("allreduce-native total msgs", sched.total_sends(),
-                          core::allreduce_rsag_native_transfers(P));
-      break;
-    case Variant::AllreduceRsAgTuned:
-      err += check_counts("allreduce-tuned total msgs", sched.total_sends(),
-                          core::allreduce_rsag_tuned_transfers(P));
-      for (int r = 0; err.empty() && r < P; ++r) {
-        const int rel = rel_rank(r, c.root, P);
-        const core::RingPlan plan = core::compute_ring_plan(rel, P);
-        err += check_counts(
-            "allreduce-tuned per-rank sends", per_rank[r].sends,
-            static_cast<std::uint64_t>(P - 1 + core::block_ancestors(rel) +
-                                       core::tuned_sends(plan, P)));
-        err += check_counts(
-            "allreduce-tuned per-rank recvs", per_rank[r].recvs,
-            static_cast<std::uint64_t>(P - 1 + coll::scatter_subtree_span(rel, P) -
-                                       1 + core::tuned_recvs(plan, P)));
-      }
-      break;
-    case Variant::AllreduceRecursiveDoubling: {
-      const std::uint64_t rounds = static_cast<std::uint64_t>(floor_log2(
-          static_cast<std::uint64_t>(P)));
-      err += check_counts("allreduce-rd total msgs", sched.total_sends(),
-                          static_cast<std::uint64_t>(P) * rounds);
-      for (int r = 0; err.empty() && r < P; ++r) {
-        err += check_counts("allreduce-rd per-rank sends", per_rank[r].sends, rounds);
-        err += check_counts("allreduce-rd per-rank recvs", per_rank[r].recvs, rounds);
-      }
-      break;
-    }
-    case Variant::AllgathervRingTuned:
-      err += check_counts("allgatherv-tuned total msgs", sched.total_sends(),
-                          core::tuned_ring_transfers(P));
-      for (int r = 0; err.empty() && r < P; ++r) {
-        const core::RingPlan plan =
-            core::compute_ring_plan(rel_rank(r, c.root, P), P);
-        err += check_counts(
-            "allgatherv-tuned per-rank sends", per_rank[r].sends,
-            static_cast<std::uint64_t>(core::tuned_sends(plan, P)));
-        err += check_counts(
-            "allgatherv-tuned per-rank recvs", per_rank[r].recvs,
-            static_cast<std::uint64_t>(core::tuned_recvs(plan, P)));
-      }
-      break;
-    case Variant::AllgatherBruckHier:
-      err += check_counts(
-          "bruck-hier total msgs", sched.total_sends(),
-          core::bruck_hier_transfers(P, c.smp_cores_per_node));
-      break;
-    case Variant::BcastHier: {
-      const hier::Topology topo(c.node_sizes);
-      err += check_counts(
-          "bcast-hier total msgs", sched.total_sends(),
-          core::hier_bcast_transfers(P, topo.num_nodes(), c.nbytes,
-                                     c.use_tuned_ring));
-      for (int r = 0; err.empty() && r < P; ++r) {
-        if (topo.is_leader(r, c.root)) continue;
-        // Every non-leader takes part in exactly one transfer: the
-        // single-copy delivery from its node leader.
-        err += check_counts("bcast-hier non-leader sends", per_rank[r].sends, 0);
-        err += check_counts("bcast-hier non-leader recvs", per_rank[r].recvs, 1);
-      }
-      break;
-    }
-    default:
-      break;  // no closed form for this variant; matching was the check
-  }
+  for (const std::string& f : failures) err += f + "; ";
   if (!err.empty()) err += "[" + describe(c) + "]";
   return err;
 }
@@ -563,20 +83,8 @@ std::string symbolic_check(const FuzzCase& c, const RankBody& body,
 }  // namespace
 
 bool sabotage_applies(const FuzzCase& c, Sabotage sabotage) noexcept {
-  switch (sabotage) {
-    case Sabotage::None:
-      return false;
-    case Sabotage::RingPlanStepOffByOne:
-      return c.variant == Variant::BcastScatterRingTuned ||
-             c.variant == Variant::AllgatherRingTuned ||
-             c.variant == Variant::AllgathervRingTuned ||
-             c.variant == Variant::AllreduceRsAgTuned;
-    case Sabotage::ReduceScatterDoubleFinal:
-      return c.variant == Variant::ReduceScatterBlocks;
-    case Sabotage::HierDoubleFanout:
-      return c.variant == Variant::BcastHier;
-  }
-  return false;
+  return sabotage != Sabotage::None &&
+         registry::collective(c.variant).sabotage == sabotage;
 }
 
 RunOutcome run_case(const FuzzCase& c, Sabotage sabotage) {
@@ -605,11 +113,21 @@ RunOutcome run_case(const FuzzCase& c, Sabotage sabotage) {
   wc.faults = c.faults;
   mpisim::World world(c.nranks, wc);
 
+  // Pre-collective contents: the bytes the variant's ownership contract
+  // says each rank contributes (at their home offsets), garbage elsewhere;
+  // under a fold oracle every byte is a live contribution. The fold oracles
+  // compare each rank's `reduced` bytes against the byte-exact expected
+  // buffer, shared read-only by all ranks.
+  const registry::Collective& k = registry::collective(c.variant);
+  const bool fold = k.oracle != registry::Oracle::Pattern;
   const std::uint64_t ps = oracle_seed(c);
-  // Reduction variants compare against the byte-exact fold oracle instead
-  // of the pattern; the expected buffer is shared read-only by all ranks.
+  const std::vector<Interval> owned = registry::held_bytes(k.initial, c);
+  std::vector<Interval> checked;
   std::vector<std::byte> expected;
-  if (is_reduce_family(c.variant)) expected = reduce_expected_buffer(c);
+  if (fold) {
+    checked = registry::held_bytes(k.reduced, c);
+    expected = reduce_expected_buffer(c);
+  }
   std::mutex fail_mu;
   std::string first_fail;
   auto report_fail = [&](int rank, std::uint64_t bad, std::uint64_t total) {
@@ -622,12 +140,19 @@ RunOutcome run_case(const FuzzCase& c, Sabotage sabotage) {
   };
   try {
     world.run([&](mpisim::ThreadComm& comm) {
+      const auto me = static_cast<std::size_t>(comm.rank());
       std::vector<std::byte> buf(c.nbytes);
-      fill_initial(c, comm.rank(), buf);
+      if (fold) {
+        coll::fill_contributions(c.red_dtype, ps, comm.rank(), 0, buf);
+      } else {
+        fill_pattern(buf, ~ps);
+        const Interval iv = owned[me];
+        fill_pattern(std::span<std::byte>(buf).subspan(iv.lo, iv.length()), ps,
+                     iv.lo);
+      }
       body(comm, buf);
-      if (is_reduce_family(c.variant)) {
-        const auto [off, len] = reduce_checked_range(c, comm.rank());
-        for (std::uint64_t i = off; i < off + len; ++i) {
+      if (fold) {
+        for (std::uint64_t i = checked[me].lo; i < checked[me].hi; ++i) {
           if (buf[i] != expected[i]) {
             report_fail(comm.rank(), i, buf.size());
             break;

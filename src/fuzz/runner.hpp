@@ -1,45 +1,18 @@
 // Differential runner for one fuzz case: records the variant's schedule and
-// validates it symbolically (matching + closed-form transfer counts from
-// core/transfer_analysis and core/ring_plan), then executes it on the
-// mpisim thread backend — under the case's fault plan — and compares every
-// rank's result buffer byte-for-byte against the local pattern oracle.
+// validates it symbolically (matching + the registry's closed-form transfer
+// counts, checked exactly as bsb-verify checks them), then executes it on
+// the mpisim thread backend — under the case's fault plan — and compares
+// every rank's result buffer byte-for-byte against the variant's oracle.
 // Hangs become DeadlockError via the watchdog, so every failure mode ends
 // up as a reportable string, never a stuck process.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <string>
 
-#include "comm/comm.hpp"
 #include "fuzz/case.hpp"
 
 namespace bsb::fuzz {
-
-/// One rank's program for a fuzz case; identical code drives the symbolic
-/// recording, the threaded execution, and the static verifier.
-using RankBody = std::function<void(Comm&, std::span<std::byte>)>;
-
-/// Deliberate schedule corruption for the harness self-test: proves the
-/// detectors catch exactly the class of bug the pairing invariant guards
-/// against.
-enum class Sabotage : std::uint8_t {
-  None,
-  /// plan.step += 1 inside the tuned ring (off-by-one in the special
-  /// phase). Only perturbs the tuned-ring variants.
-  RingPlanStepOffByOne,
-  /// reduce_scatter_blocks_ring ships every finished chunk TWICE to the
-  /// nearest ancestor: values stay correct, but the transfer counts break
-  /// and bsb-verify's reduce-flow pass must produce a redundancy witness.
-  /// Only perturbs Variant::ReduceScatterBlocks.
-  ReduceScatterDoubleFinal,
-  /// bcast_hier leaders deliver the buffer TWICE to every non-leader of
-  /// their node: values stay correct, but the intra-node transfer count
-  /// doubles and bsb-verify's redundancy pass must produce a witness.
-  /// Only perturbs Variant::BcastHier.
-  HierDoubleFanout,
-};
 
 struct RunOutcome {
   bool ok = true;

@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "registry/registry.hpp"
+
 namespace bsb::fuzz {
 
 namespace {
@@ -48,7 +50,8 @@ std::vector<FuzzCase> candidates(const FuzzCase& c) {
     cand.eager_threshold = 65536;
     push(cand);
   }
-  if (c.segment_bytes != 0 && c.variant == Variant::BcastRingPipelined) {
+  if (c.segment_bytes != 0 &&
+      (registry::collective(c.variant).params & registry::kSegment) != 0) {
     FuzzCase cand = c;
     cand.segment_bytes = 0;
     push(cand);

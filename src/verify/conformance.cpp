@@ -1,308 +1,41 @@
 #include "verify/conformance.hpp"
 
 #include "bsbutil/error.hpp"
-#include "bsbutil/math.hpp"
-#include "coll/hier/topology.hpp"
-#include "coll/scatter_binomial.hpp"
 #include "comm/chunks.hpp"
-#include "comm/topology.hpp"
-#include "comm/vchunks.hpp"
-#include "core/bcast.hpp"
-#include "core/ring_plan.hpp"
-#include "core/transfer_analysis.hpp"
 
 namespace bsb::verify {
 
-namespace {
-
 using fuzz::FuzzCase;
-using fuzz::Variant;
+using registry::collective;
+using registry::Oracle;
 
-struct Redundancy {
-  std::uint64_t bytes = 0;
-  std::uint64_t msgs = 0;
-};
-
-/// Redundant traffic of the ENCLOSED ring running over binomial-scatter
-/// output: relative rank `rel` owns its whole subtree chunk block but the
-/// ring re-delivers every chunk except its own, so the block's other
-/// chunks arrive redundantly — one full message each when nonempty.
-Redundancy native_ring_redundancy(int P, std::uint64_t nbytes) {
-  const ChunkLayout layout(nbytes, P);
-  Redundancy red;
-  for (int rel = 0; rel < P; ++rel) {
-    red.bytes += coll::scatter_block_bytes(rel, layout) - layout.count(rel);
-    const int span = std::min(coll::scatter_subtree_span(rel, P), P - rel);
-    for (int c = rel + 1; c < rel + span; ++c) {
-      if (layout.count(c) > 0) ++red.msgs;
-    }
-  }
-  return red;
+TransferExpectation expected_transfers(const FuzzCase& c) {
+  return collective(c.variant).expect(c);
 }
 
-/// Redundant traffic of the recursive-doubling allgather running over
-/// binomial-scatter output (MPICH's native medium-message path): in round
-/// i, relative rank `rel` receives the 2^i-chunk block of its partner's
-/// subtree root; for i < log2(own subtree span) that block is inside the
-/// chunks `rel` already owns.
-Redundancy rd_redundancy(int P, std::uint64_t nbytes) {
-  BSB_REQUIRE(is_pow2(static_cast<std::uint64_t>(P)),
-              "rd_redundancy: P must be a power of two");
-  const ChunkLayout layout(nbytes, P);
-  Redundancy red;
-  for (int rel = 0; rel < P; ++rel) {
-    const int span = coll::scatter_subtree_span(rel, P);  // 2^k
-    for (int i = 0, mask = 1; mask < P; mask <<= 1, ++i) {
-      const int dst_tree_root = ((rel ^ mask) >> i) << i;
-      const int n = std::min(mask, P - dst_tree_root);
-      const std::uint64_t bytes = layout.range_count(dst_tree_root, n);
-      if (mask < span) {  // partner block lies inside the owned block
-        red.bytes += bytes;
-        if (bytes > 0) ++red.msgs;
-      }
-    }
-  }
-  return red;
+std::vector<IntervalSet> initial_coverage(const FuzzCase& c) {
+  const std::vector<Interval> held =
+      registry::held_bytes(collective(c.variant).initial, c);
+  return {held.begin(), held.end()};
 }
 
-/// Redundant traffic of the ENCLOSED ring allgatherv running over skewed
-/// post-scatter block ownership: same shape as native_ring_redundancy but
-/// weighted by the case's VarLayout, so zero-sized chunks contribute no
-/// redundant message.
-Redundancy allgatherv_native_redundancy(const FuzzCase& c) {
-  const int P = c.nranks;
-  const VarLayout layout(skewed_counts(P, c.nbytes, c.skew_seed));
-  Redundancy red;
-  for (int rel = 0; rel < P; ++rel) {
-    const int span = coll::scatter_subtree_span(rel, P);
-    red.bytes += layout.range_count(rel, span) - layout.count(rel);
-    for (int ch = rel + 1; ch < rel + span; ++ch) {
-      if (layout.count(ch) > 0) ++red.msgs;
-    }
-  }
-  return red;
+bool dataflow_checkable(fuzz::Variant v) noexcept {
+  return collective(v).dataflow;
 }
 
-using RankCounts = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
-
-/// Exact per-rank (sends, recvs) for the reduction family and allgatherv:
-/// ring steps plus — for the blocked variants — the phase-B ancestor
-/// delivery, plus the allgather phase for the rsag allreduces.
-RankCounts per_rank_expectation(const FuzzCase& c) {
-  const int P = c.nranks;
-  RankCounts out(static_cast<std::size_t>(P));
-  const auto ring = static_cast<std::uint64_t>(P - 1);
-  for (int r = 0; r < P; ++r) {
-    const int rel = rel_rank(r, c.root, P);
-    const auto span =
-        static_cast<std::uint64_t>(coll::scatter_subtree_span(rel, P));
-    const auto anc = static_cast<std::uint64_t>(core::block_ancestors(rel));
-    const core::RingPlan plan = core::compute_ring_plan(rel, P);
-    const auto tuned_s = static_cast<std::uint64_t>(core::tuned_sends(plan, P));
-    const auto tuned_r = static_cast<std::uint64_t>(core::tuned_recvs(plan, P));
-    std::uint64_t sends = 0;
-    std::uint64_t recvs = 0;
-    switch (c.variant) {
-      case Variant::ReduceScatterRing:
-      case Variant::AllgathervRingNative:
-        sends = ring;
-        recvs = ring;
-        break;
-      case Variant::ReduceScatterBlocks:
-        sends = ring + anc;
-        recvs = ring + span - 1;
-        break;
-      case Variant::AllreduceRsAgNative:
-        sends = ring + anc + ring;
-        recvs = ring + span - 1 + ring;
-        break;
-      case Variant::AllreduceRsAgTuned:
-        sends = ring + anc + tuned_s;
-        recvs = ring + span - 1 + tuned_r;
-        break;
-      case Variant::AllreduceRecursiveDoubling:
-        sends = static_cast<std::uint64_t>(
-            floor_log2(static_cast<std::uint64_t>(P)));
-        recvs = sends;
-        break;
-      case Variant::AllgathervRingTuned:
-        sends = tuned_s;
-        recvs = tuned_r;
-        break;
-      default:
-        BSB_ASSERT(false, "per_rank_expectation: variant has no per-rank form");
-    }
-    out[static_cast<std::size_t>(r)] = {sends, recvs};
-  }
-  return out;
-}
-
-/// Per-rank (sends, recvs) of the binomial scatter over a group of `L`
-/// ranks at relative rank `rel` — the same closed-form walk
-/// scatter_binomial performs, including the zero-byte suppression.
-std::pair<std::uint64_t, std::uint64_t> scatter_rank_counts(
-    int rel, int L, std::uint64_t nbytes) {
-  const ChunkLayout layout(nbytes, L);
-  const auto s = static_cast<std::int64_t>(layout.scatter_size());
-  const auto total = static_cast<std::int64_t>(nbytes);
-  std::int64_t curr = rel == 0 ? total : 0;
-  std::uint64_t recvs = 0;
-  int mask = 1;
-  while (mask < L) {
-    if (rel & mask) {
-      if (total - rel * s > 0) {
-        recvs = 1;
-        curr = std::min<std::int64_t>(total - rel * s,
-                                      static_cast<std::int64_t>(mask) * s);
-      }
-      break;
-    }
-    mask <<= 1;
-  }
-  std::uint64_t sends = 0;
-  for (mask >>= 1; mask > 0; mask >>= 1) {
-    if (rel + mask >= L) continue;
-    const std::int64_t send_size = curr - static_cast<std::int64_t>(mask) * s;
-    if (send_size > 0) {
-      ++sends;
-      curr -= send_size;
-    }
-  }
-  return {sends, recvs};
-}
-
-/// Exact per-rank (sends, recvs) of the hierarchical broadcast: non-leaders
-/// see exactly the one single-copy delivery; a leader adds its scatter walk
-/// and ring plan over the leader group plus (node_size - 1) fan-out sends.
-RankCounts hier_per_rank_expectation(const FuzzCase& c,
-                                     const hier::Topology& topo) {
-  const int P = c.nranks;
-  const int L = topo.num_nodes();
-  const int leader_root = topo.node_of(c.root);
-  RankCounts out(static_cast<std::size_t>(P), {0, 1});
-  for (int n = 0; n < L; ++n) {
-    const int leader = topo.leader_of(n, c.root);
-    std::uint64_t sends = static_cast<std::uint64_t>(topo.node_size(n) - 1);
-    std::uint64_t recvs = 0;
-    if (L > 1) {
-      const int lrel = rel_rank(n, leader_root, L);
-      const auto [ss, sr] = scatter_rank_counts(lrel, L, c.nbytes);
-      sends += ss;
-      recvs += sr;
-      if (c.use_tuned_ring) {
-        const core::RingPlan plan = core::compute_ring_plan(lrel, L);
-        sends += static_cast<std::uint64_t>(core::tuned_sends(plan, L));
-        recvs += static_cast<std::uint64_t>(core::tuned_recvs(plan, L));
-      } else {
-        sends += static_cast<std::uint64_t>(L - 1);
-        recvs += static_cast<std::uint64_t>(L - 1);
-      }
-    }
-    out[static_cast<std::size_t>(leader)] = {sends, recvs};
-  }
-  return out;
-}
-
-std::uint64_t pipelined_sends(int P, std::uint64_t nbytes,
-                              std::uint64_t segment_bytes) {
-  if (P <= 1 || nbytes == 0) return 0;
-  const std::uint64_t seg = segment_bytes == 0 ? nbytes : segment_bytes;
-  const std::uint64_t segments = (nbytes + seg - 1) / seg;
-  return static_cast<std::uint64_t>(P - 1) * segments;
-}
-
-std::uint64_t smp_sends(const FuzzCase& c) {
-  const Topology topo(c.nranks, c.smp_cores_per_node, Placement::Block);
-  std::uint64_t total = 0;
-  for (int n = 0; n < topo.num_nodes(); ++n) {
-    const auto node_size =
-        static_cast<std::uint64_t>(topo.ranks_on_node(n).size());
-    if (node_size > 1) total += node_size - 1;  // intra-node binomial
-  }
-  const int L = topo.num_nodes();
-  if (L > 1) {  // leader phase: binomial scatter + tuned ring over L leaders
-    total += core::scatter_transfers(L, c.nbytes) + core::tuned_ring_transfers(L);
-  }
-  return total;
-}
-
-TransferExpectation bcast_algorithm_expectation(core::BcastAlgorithm algo,
-                                                const FuzzCase& c) {
-  const int P = c.nranks;
-  TransferExpectation e;
-  switch (algo) {
-    case core::BcastAlgorithm::Binomial:
-      e.total_sends = static_cast<std::uint64_t>(P - 1);
-      e.redundant_bytes = 0;
-      e.redundant_msgs = 0;
-      return e;
-    case core::BcastAlgorithm::ScatterRdAllgather: {
-      e.total_sends = core::scatter_transfers(P, c.nbytes) +
-                      static_cast<std::uint64_t>(P) *
-                          static_cast<std::uint64_t>(ceil_log2(
-                              static_cast<std::uint64_t>(P)));
-      const Redundancy red = rd_redundancy(P, c.nbytes);
-      e.redundant_bytes = red.bytes;
-      e.redundant_msgs = red.msgs;
-      return e;
-    }
-    case core::BcastAlgorithm::ScatterRingNative: {
-      e.total_sends =
-          core::scatter_transfers(P, c.nbytes) + core::native_ring_transfers(P);
-      const Redundancy red = native_ring_redundancy(P, c.nbytes);
-      e.redundant_bytes = red.bytes;
-      e.redundant_msgs = red.msgs;
-      return e;
-    }
-    case core::BcastAlgorithm::ScatterRingTuned:
-      e.total_sends =
-          core::scatter_transfers(P, c.nbytes) + core::tuned_ring_transfers(P);
-      e.redundant_bytes = 0;  // the paper's claim: zero re-shipped bytes
-      e.redundant_msgs = 0;
-      return e;
-  }
-  BSB_ASSERT(false, "bcast_algorithm_expectation: unknown algorithm");
-}
-
-core::BcastConfig selector_config(const FuzzCase& c) {
-  core::BcastConfig cfg;
-  cfg.smsg_limit = c.smsg_limit;
-  cfg.mmsg_limit = c.mmsg_limit;
-  cfg.use_tuned_ring = c.use_tuned_ring;
-  return cfg;
-}
-
-}  // namespace
-
-int ceil_log2(std::uint64_t n) noexcept {
-  int k = 0;
-  while ((std::uint64_t{1} << k) < n) ++k;
-  return k;
-}
-
-bool dataflow_checkable(Variant v) noexcept {
-  // Bruck (flat and hierarchical) gathers into a rotated scratch buffer;
-  // its offsets are foreign to the collective's buffer and cannot be
-  // dataflow-validated symbolically. The reduction family moves partial
-  // sums, not byte copies — validate_reduce_flow covers those instead.
-  // IbcastConcurrent's companion broadcasts run on body-local buffers, so
-  // two thirds of its recorded offsets are foreign as well.
-  return v != Variant::AllgatherBruck && v != Variant::AllgatherBruckHier &&
-         v != Variant::IbcastConcurrent && !fuzz::is_reduce_family(v);
-}
-
-bool reduction_checkable(Variant v) noexcept {
-  return fuzz::is_reduce_family(v);
+bool reduction_checkable(fuzz::Variant v) noexcept {
+  return collective(v).oracle != Oracle::Pattern;
 }
 
 trace::ReduceFlowOptions reduce_flow_options(const FuzzCase& c) {
-  BSB_REQUIRE(fuzz::is_reduce_family(c.variant),
+  const registry::Collective& k = collective(c.variant);
+  BSB_REQUIRE(k.oracle != Oracle::Pattern,
               "reduce_flow_options: not a reduction-family case");
   BSB_REQUIRE(c.nbytes > 0, "reduce_flow_options: nbytes must be positive");
   const int P = c.nranks;
   trace::ReduceFlowOptions opt;
   opt.root = c.root;
-  if (c.variant == Variant::AllreduceRecursiveDoubling) {
+  if (k.oracle == Oracle::TreeFold) {
     // Whole-buffer partials halve the contributor gap each round; a single
     // chunk models that exactly.
     opt.nchunks = 1;
@@ -314,254 +47,10 @@ trace::ReduceFlowOptions reduce_flow_options(const FuzzCase& c) {
   opt.chunk_bytes = c.nbytes / static_cast<std::uint64_t>(P);
   opt.required.resize(static_cast<std::size_t>(P));
   for (int r = 0; r < P; ++r) {
-    const int rel = rel_rank(r, c.root, P);
-    switch (c.variant) {
-      case Variant::ReduceScatterRing:
-        opt.required[static_cast<std::size_t>(r)] = {rel, 1};
-        break;
-      case Variant::ReduceScatterBlocks:
-        opt.required[static_cast<std::size_t>(r)] = {
-            rel, coll::scatter_subtree_span(rel, P)};
-        break;
-      default:  // the rsag allreduces: everyone ends with everything
-        opt.required[static_cast<std::size_t>(r)] = {0, P};
-        break;
-    }
+    opt.required[static_cast<std::size_t>(r)] =
+        registry::held_chunks(k.reduced, rel_rank(r, c.root, P), P);
   }
   return opt;
-}
-
-TransferExpectation expected_transfers(const FuzzCase& c) {
-  const int P = c.nranks;
-  TransferExpectation e;
-  switch (c.variant) {
-    case Variant::BcastBinomial:
-      return bcast_algorithm_expectation(core::BcastAlgorithm::Binomial, c);
-    case Variant::BcastScatterRd:
-      return bcast_algorithm_expectation(
-          core::BcastAlgorithm::ScatterRdAllgather, c);
-    case Variant::BcastScatterRingNative:
-      return bcast_algorithm_expectation(core::BcastAlgorithm::ScatterRingNative,
-                                         c);
-    case Variant::BcastScatterRingTuned:
-      return bcast_algorithm_expectation(core::BcastAlgorithm::ScatterRingTuned,
-                                         c);
-    case Variant::BcastRingPipelined:
-      e.total_sends = pipelined_sends(P, c.nbytes, c.segment_bytes);
-      e.redundant_bytes = 0;
-      e.redundant_msgs = 0;
-      return e;
-    case Variant::BcastSmp:
-      e.total_sends = smp_sends(c);
-      e.redundant_bytes = 0;  // tuned leader ring + disjoint node subtrees
-      e.redundant_msgs = 0;
-      return e;
-    case Variant::BcastAuto:
-    case Variant::BcastPersistent:
-      return bcast_algorithm_expectation(
-          core::choose_bcast_algorithm(c.nbytes, P, selector_config(c)), c);
-    case Variant::AllgatherRingNative:
-      // Contract: ranks start with ONLY their own chunk, so nothing the
-      // enclosed ring delivers is redundant here; the waste appears only
-      // when it runs over scatter output (BcastScatterRingNative above).
-      e.total_sends = core::native_ring_transfers(P);
-      e.redundant_bytes = 0;
-      e.redundant_msgs = 0;
-      e.native_ring_per_rank = true;
-      return e;
-    case Variant::AllgatherRingTuned:
-      e.total_sends = core::tuned_ring_transfers(P);
-      e.redundant_bytes = 0;
-      e.redundant_msgs = 0;
-      e.tuned_ring_per_rank = true;
-      return e;
-    case Variant::AllgatherRecursiveDoubling: {
-      e.total_sends = static_cast<std::uint64_t>(P) *
-                      static_cast<std::uint64_t>(
-                          ceil_log2(static_cast<std::uint64_t>(P)));
-      const Redundancy red = rd_redundancy(P, c.nbytes);
-      e.redundant_bytes = red.bytes;
-      e.redundant_msgs = red.msgs;
-      return e;
-    }
-    case Variant::AllgatherBruck:
-      e.total_sends = static_cast<std::uint64_t>(P) *
-                      static_cast<std::uint64_t>(
-                          ceil_log2(static_cast<std::uint64_t>(P)));
-      return e;  // no dataflow: redundancy not statically checkable
-    case Variant::AllgatherNeighborExchange:
-      e.total_sends =
-          static_cast<std::uint64_t>(P) * static_cast<std::uint64_t>(P / 2);
-      e.redundant_bytes = 0;
-      e.redundant_msgs = 0;
-      return e;
-    case Variant::ReduceScatterRing:
-      e.total_sends = core::native_ring_transfers(P);
-      e.redundant_bytes = 0;  // ownership-aware: nothing complete re-shipped
-      e.redundant_msgs = 0;
-      e.per_rank_counts = per_rank_expectation(c);
-      return e;
-    case Variant::ReduceScatterBlocks:
-      e.total_sends = core::blocked_reduce_scatter_transfers(P);
-      e.redundant_bytes = 0;  // phase B replaces partials, never completes
-      e.redundant_msgs = 0;
-      e.per_rank_counts = per_rank_expectation(c);
-      return e;
-    case Variant::AllreduceRsAgNative: {
-      e.total_sends = core::allreduce_rsag_native_transfers(P);
-      // The enclosed allgather re-ships the reduced chunks the blocked
-      // reduce_scatter already left on each rank — the same excess the
-      // paper prices for bcast, generalized to allreduce.
-      const Redundancy red = native_ring_redundancy(P, c.nbytes);
-      e.redundant_bytes = red.bytes;
-      e.redundant_msgs = red.msgs;
-      e.per_rank_counts = per_rank_expectation(c);
-      return e;
-    }
-    case Variant::AllreduceRsAgTuned:
-      e.total_sends = core::allreduce_rsag_tuned_transfers(P);
-      e.redundant_bytes = 0;  // the generalized zero-waste claim
-      e.redundant_msgs = 0;
-      e.per_rank_counts = per_rank_expectation(c);
-      return e;
-    case Variant::AllreduceRecursiveDoubling:
-      e.total_sends = static_cast<std::uint64_t>(P) *
-                      static_cast<std::uint64_t>(
-                          floor_log2(static_cast<std::uint64_t>(P)));
-      e.redundant_bytes = 0;  // partial merges only, never a re-delivery
-      e.redundant_msgs = 0;
-      e.per_rank_counts = per_rank_expectation(c);
-      return e;
-    case Variant::AllgathervRingNative: {
-      e.total_sends = core::native_ring_transfers(P);
-      const Redundancy red = allgatherv_native_redundancy(c);
-      e.redundant_bytes = red.bytes;
-      e.redundant_msgs = red.msgs;
-      e.per_rank_counts = per_rank_expectation(c);
-      return e;
-    }
-    case Variant::AllgathervRingTuned:
-      e.total_sends = core::tuned_ring_transfers(P);
-      e.redundant_bytes = 0;  // skew-oblivious plan, still zero waste
-      e.redundant_msgs = 0;
-      e.per_rank_counts = per_rank_expectation(c);
-      return e;
-    case Variant::AllgatherBruckHier:
-      e.total_sends = core::bruck_hier_transfers(P, c.smp_cores_per_node);
-      return e;  // scratch rotation: redundancy not statically checkable
-    case Variant::IbcastConcurrent: {
-      // kIbcastDepth same-shape broadcasts in flight (the root stagger
-      // never changes a count); the companions live in body-local buffers,
-      // so redundancy is not statically checkable here.
-      const TransferExpectation one = bcast_algorithm_expectation(
-          core::choose_bcast_algorithm(c.nbytes, P, selector_config(c)), c);
-      e.total_sends =
-          *one.total_sends * static_cast<std::uint64_t>(fuzz::kIbcastDepth);
-      return e;
-    }
-    case Variant::BcastHier: {
-      // The leader phase IS the flat scatter-ring at P = #leaders; the
-      // intra phase is one single-copy delivery per non-leader, so the
-      // tuned hier broadcast ships zero redundant bytes and the native one
-      // wastes exactly the leader-group ring excess.
-      const hier::Topology topo(c.node_sizes);
-      const int L = topo.num_nodes();
-      e.total_sends =
-          core::hier_bcast_transfers(P, L, c.nbytes, c.use_tuned_ring);
-      if (c.use_tuned_ring || L == 1) {
-        e.redundant_bytes = 0;
-        e.redundant_msgs = 0;
-      } else {
-        const Redundancy red = native_ring_redundancy(L, c.nbytes);
-        e.redundant_bytes = red.bytes;
-        e.redundant_msgs = red.msgs;
-      }
-      e.per_rank_counts = hier_per_rank_expectation(c, topo);
-      return e;
-    }
-  }
-  BSB_ASSERT(false, "expected_transfers: unknown variant");
-}
-
-std::vector<IntervalSet> initial_coverage(const FuzzCase& c) {
-  const int P = c.nranks;
-  std::vector<IntervalSet> init(static_cast<std::size_t>(P));
-  switch (c.variant) {
-    case Variant::BcastBinomial:
-    case Variant::BcastScatterRd:
-    case Variant::BcastScatterRingNative:
-    case Variant::BcastScatterRingTuned:
-    case Variant::BcastRingPipelined:
-    case Variant::BcastSmp:
-    case Variant::BcastAuto:
-    case Variant::BcastPersistent:
-    case Variant::BcastHier:
-    case Variant::IbcastConcurrent:
-      // For IbcastConcurrent this states the PRIMARY buffer's contract;
-      // dataflow is skipped anyway (foreign companion offsets).
-      init[static_cast<std::size_t>(c.root)].insert({0, c.nbytes});
-      return init;
-    case Variant::AllgatherRingNative: {
-      const ChunkLayout layout(c.nbytes, P);
-      for (int r = 0; r < P; ++r) {
-        const int rel = rel_rank(r, c.root, P);
-        const std::uint64_t off = layout.disp(rel);
-        init[static_cast<std::size_t>(r)].insert({off, off + layout.count(rel)});
-      }
-      return init;
-    }
-    case Variant::AllgatherRingTuned:
-    case Variant::AllgatherRecursiveDoubling: {
-      // These run over binomial-scatter output: each rank owns its whole
-      // subtree chunk block (the tuned ring exploits exactly that).
-      const ChunkLayout layout(c.nbytes, P);
-      for (int r = 0; r < P; ++r) {
-        const int rel = rel_rank(r, c.root, P);
-        const std::uint64_t off = layout.disp(rel);
-        init[static_cast<std::size_t>(r)].insert(
-            {off, off + coll::scatter_block_bytes(rel, layout)});
-      }
-      return init;
-    }
-    case Variant::AllgatherBruck:
-    case Variant::AllgatherNeighborExchange:
-    case Variant::AllgatherBruckHier: {
-      BSB_REQUIRE(c.nbytes % static_cast<std::uint64_t>(P) == 0,
-                  "initial_coverage: block allgather needs P | nbytes");
-      const std::uint64_t block = c.nbytes / static_cast<std::uint64_t>(P);
-      for (int r = 0; r < P; ++r) {
-        const std::uint64_t off = static_cast<std::uint64_t>(r) * block;
-        init[static_cast<std::size_t>(r)].insert({off, off + block});
-      }
-      return init;
-    }
-    case Variant::ReduceScatterRing:
-    case Variant::ReduceScatterBlocks:
-    case Variant::AllreduceRsAgNative:
-    case Variant::AllreduceRsAgTuned:
-    case Variant::AllreduceRecursiveDoubling:
-      // Every rank starts with its full contribution vector; coverage in
-      // the byte-copy sense does not apply (see reduction_checkable).
-      for (int r = 0; r < P; ++r) {
-        init[static_cast<std::size_t>(r)].insert({0, c.nbytes});
-      }
-      return init;
-    case Variant::AllgathervRingNative:
-    case Variant::AllgathervRingTuned: {
-      // Post-scatter block ownership, weighted by the skewed layout: rank
-      // rel holds chunks [rel, rel + span) of the VarLayout.
-      const VarLayout layout(skewed_counts(P, c.nbytes, c.skew_seed));
-      for (int r = 0; r < P; ++r) {
-        const int rel = rel_rank(r, c.root, P);
-        const int span = coll::scatter_subtree_span(rel, P);
-        const std::uint64_t off = layout.disp(rel);
-        init[static_cast<std::size_t>(r)].insert(
-            {off, off + layout.range_count(rel, span)});
-      }
-      return init;
-    }
-  }
-  BSB_ASSERT(false, "initial_coverage: unknown variant");
 }
 
 }  // namespace bsb::verify

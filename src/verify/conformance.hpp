@@ -1,59 +1,37 @@
-// Closed-form expectations for every broadcast/allgather variant: total
-// message counts (core/transfer_analysis plus per-variant arithmetic),
-// exact redundant-transfer accounting (the paper's excess: the enclosed
-// ring re-ships bytes the receiver already owns after the binomial
-// scatter), and each variant's initial-ownership contract. The verifier
-// checks recorded schedules against these; a mismatch is a conformance
-// failure, never a tolerance.
+// The verifier's view of each variant's registry row (registry/registry.hpp):
+// closed-form transfer counts, including exact redundant-transfer
+// accounting (the paper's excess: the enclosed ring re-ships bytes the
+// receiver already owns after the binomial scatter), and the
+// initial-ownership contract. The verifier checks recorded schedules
+// against these; a mismatch is a conformance failure, never a tolerance.
+// The fuzz runner fills its buffers from the same contract and checks the
+// same closed forms, so the independent references are its threaded byte
+// oracles (pattern and reduction fold), not a second copy of these facts.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "bsbutil/intervals.hpp"
 #include "fuzz/case.hpp"
+#include "registry/registry.hpp"
 #include "trace/reduce_flow.hpp"
 
 namespace bsb::verify {
 
-struct TransferExpectation {
-  /// Total send halves across all ranks; nullopt when the variant has no
-  /// closed form (none today — every variant is covered).
-  std::optional<std::uint64_t> total_sends;
-  /// Payload bytes delivered to ranks that already held them. For the
-  /// tuned paths this is 0 by construction; for the enclosed (native) ring
-  /// and the recursive-doubling allgather running over binomial-scatter
-  /// output it is exactly sum_r(block_bytes(r) - own_chunk_bytes(r)).
-  std::optional<std::uint64_t> redundant_bytes;
-  /// Nonempty messages whose payload was entirely already held.
-  std::optional<std::uint64_t> redundant_msgs;
-  /// When true, per-rank send/recv counts must match the RingPlan closed
-  /// forms (tuned_sends / tuned_recvs).
-  bool tuned_ring_per_rank = false;
-  /// When true, every rank must send and receive exactly P-1 messages
-  /// (the enclosed ring's shape).
-  bool native_ring_per_rank = false;
-  /// Exact (sends, recvs) per absolute rank; empty means "not constrained
-  /// this way". Used by the reduction family and allgatherv, whose per-rank
-  /// shapes mix ring steps with ancestor deliveries and so fit neither of
-  /// the two boolean shapes above.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> per_rank_counts;
-};
+using registry::TransferExpectation;
 
 /// Closed-form expectation for the case's recorded schedule.
 TransferExpectation expected_transfers(const fuzz::FuzzCase& c);
 
 /// Bytes each rank holds valid BEFORE the collective runs — the variant's
-/// ownership contract (mirrors fuzz's fill_initial; the seeded cross-check
-/// test keeps the two in sync).
+/// ownership contract.
 std::vector<IntervalSet> initial_coverage(const fuzz::FuzzCase& c);
 
-/// False for variants whose spans live in scratch memory (Bruck rotation),
-/// where offsets cannot be dataflow-validated, and for the reduction
-/// family, whose payloads are partial sums rather than copies of source
-/// bytes (those are validated by the reduce-flow engine instead).
+/// False for variants whose spans live in scratch memory (Bruck rotation)
+/// or body-local buffers (IbcastConcurrent's companions), where offsets
+/// cannot be dataflow-validated, and for the reduction family, whose
+/// payloads are partial sums rather than copies of source bytes (those are
+/// validated by the reduce-flow engine instead).
 bool dataflow_checkable(fuzz::Variant v) noexcept;
 
 /// True for the reduction family: the recorded schedule must satisfy the
@@ -65,8 +43,5 @@ bool reduction_checkable(fuzz::Variant v) noexcept;
 /// hold fully reduced at the end. Requires a reduction-family case with
 /// nbytes > 0.
 trace::ReduceFlowOptions reduce_flow_options(const fuzz::FuzzCase& c);
-
-/// ceil(log2(n)) for n >= 1.
-int ceil_log2(std::uint64_t n) noexcept;
 
 }  // namespace bsb::verify

@@ -5,6 +5,7 @@
 #include "bsbutil/error.hpp"
 #include "comm/chunks.hpp"
 #include "fuzz/runner.hpp"
+#include "registry/registry.hpp"
 #include "trace/match.hpp"
 #include "trace/record.hpp"
 
@@ -12,7 +13,6 @@ namespace bsb::verify {
 
 namespace {
 
-using fuzz::Variant;
 using trace::Op;
 using trace::OpKind;
 
@@ -190,20 +190,8 @@ std::string RotationReport::to_string() const {
   return out;
 }
 
-bool rotation_checkable(Variant v) noexcept {
-  switch (v) {
-    case Variant::BcastBinomial:
-    case Variant::BcastScatterRd:
-    case Variant::BcastScatterRingNative:
-    case Variant::BcastScatterRingTuned:
-    case Variant::BcastAuto:
-    case Variant::BcastPersistent:
-    case Variant::AllgatherRingNative:
-    case Variant::AllgatherRingTuned:
-      return true;
-    default:
-      return false;
-  }
+bool rotation_checkable(fuzz::Variant v) noexcept {
+  return registry::collective(v).rotation;
 }
 
 RotationReport prove_rotation_equivalence(const fuzz::FuzzCase& c,

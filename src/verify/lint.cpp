@@ -4,11 +4,9 @@
 
 #include "bsbutil/error.hpp"
 #include "coll/hier/topology.hpp"
-#include "coll/scatter_binomial.hpp"
 #include "coll/tags.hpp"
-#include "comm/chunks.hpp"
 #include "comm/comm.hpp"
-#include "core/ring_plan.hpp"
+#include "registry/registry.hpp"
 
 namespace bsb::verify {
 
@@ -158,123 +156,16 @@ LintReport lint_schedule(const trace::Schedule& sched) {
 
 // --- Symbolic resource-safety bounds -----------------------------------
 
-namespace {
-
-/// Bytes a message of size b parks in the eager buffer: b when it takes
-/// the eager path (b <= threshold), nothing under rendezvous.
-std::uint64_t eligible(std::uint64_t bytes, std::uint64_t threshold) {
-  return bytes <= threshold ? bytes : 0;
-}
-
-/// Inbound eager bytes of ring rank `rel` in an n-rank ring over `layout`:
-/// step i receives chunk (rel - i) mod n. The native ring receives at every
-/// step; the tuned ring's non-recv_only special ranks skip the steps past
-/// n - plan.step (their right neighbour already owns those chunks).
-std::uint64_t ring_inbound(int rel, int n, const ChunkLayout& layout,
-                           bool tuned, std::uint64_t threshold) {
-  int last = n - 1;
-  if (tuned) {
-    const core::RingPlan plan = core::compute_ring_plan(rel, n);
-    if (!plan.recv_only) last = n - plan.step;
-  }
-  std::uint64_t sum = 0;
-  for (int i = 1; i <= last; ++i) {
-    sum += eligible(layout.count(((rel - i) % n + n) % n), threshold);
-  }
-  return sum;
-}
-
-/// Inbound eager bytes of the binomial scatter: one message holding the
-/// rank's whole subtree block (nothing for the relative root, and no
-/// message at all when the block is empty).
-std::uint64_t scatter_inbound(int rel, const ChunkLayout& layout,
-                              std::uint64_t threshold) {
-  if (rel == 0) return 0;
-  return eligible(coll::scatter_block_bytes(rel, layout), threshold);
-}
-
-}  // namespace
-
 bool eager_bound_checkable(fuzz::Variant v) noexcept {
-  switch (v) {
-    case fuzz::Variant::BcastBinomial:
-    case fuzz::Variant::BcastScatterRingNative:
-    case fuzz::Variant::BcastScatterRingTuned:
-    case fuzz::Variant::AllgatherRingNative:
-    case fuzz::Variant::AllgatherRingTuned:
-    case fuzz::Variant::BcastHier:
-      return true;
-    default:
-      return false;
-  }
+  return registry::collective(v).eager_bound != nullptr;
 }
 
 std::vector<std::uint64_t> eager_peak_bounds(const fuzz::FuzzCase& c,
                                              std::uint64_t eager_threshold) {
-  const int P = c.nranks;
-  const std::uint64_t thr = eager_threshold;
-  std::vector<std::uint64_t> bounds(static_cast<std::size_t>(P), 0);
-  switch (c.variant) {
-    case fuzz::Variant::BcastBinomial:
-      for (int r = 0; r < P; ++r) {
-        if (rel_rank(r, c.root, P) != 0) {
-          bounds[static_cast<std::size_t>(r)] = eligible(c.nbytes, thr);
-        }
-      }
-      break;
-    case fuzz::Variant::BcastScatterRingNative:
-    case fuzz::Variant::BcastScatterRingTuned: {
-      const ChunkLayout layout(c.nbytes, P);
-      const bool tuned = c.variant == fuzz::Variant::BcastScatterRingTuned;
-      for (int r = 0; r < P; ++r) {
-        const int rel = rel_rank(r, c.root, P);
-        bounds[static_cast<std::size_t>(r)] =
-            scatter_inbound(rel, layout, thr) +
-            ring_inbound(rel, P, layout, tuned, thr);
-      }
-      break;
-    }
-    case fuzz::Variant::AllgatherRingNative:
-    case fuzz::Variant::AllgatherRingTuned: {
-      const ChunkLayout layout(c.nbytes, P);
-      const bool tuned = c.variant == fuzz::Variant::AllgatherRingTuned;
-      for (int r = 0; r < P; ++r) {
-        bounds[static_cast<std::size_t>(r)] =
-            ring_inbound(rel_rank(r, c.root, P), P, layout, tuned, thr);
-      }
-      break;
-    }
-    case fuzz::Variant::BcastHier: {
-      BSB_REQUIRE(!c.node_sizes.empty(),
-                  "eager_peak_bounds: BcastHier case not normalized");
-      const hier::Topology topo(c.node_sizes);
-      BSB_REQUIRE(topo.nranks() == P,
-                  "eager_peak_bounds: node shape / rank count mismatch");
-      const int L = topo.num_nodes();
-      const ChunkLayout layout(c.nbytes, L);
-      const int root_node = topo.node_of(c.root);
-      for (int r = 0; r < P; ++r) {
-        const int node = topo.node_of(r);
-        if (topo.leader_of(node, c.root) == r) {
-          // Phase A: leaders scatter + ring over the L-node leader group,
-          // whose relative root is the root's node index.
-          if (L > 1) {
-            const int lrel = rel_rank(node, root_node, L);
-            bounds[static_cast<std::size_t>(r)] =
-                scatter_inbound(lrel, layout, thr) +
-                ring_inbound(lrel, L, layout, c.use_tuned_ring, thr);
-          }
-        } else {
-          // Phase B: one full-buffer single-copy delivery from the leader.
-          bounds[static_cast<std::size_t>(r)] = eligible(c.nbytes, thr);
-        }
-      }
-      break;
-    }
-    default:
-      BSB_ASSERT(false, "eager_peak_bounds: variant has no closed form");
-  }
-  return bounds;
+  const registry::Collective& k = registry::collective(c.variant);
+  BSB_ASSERT(k.eager_bound != nullptr,
+             "eager_peak_bounds: variant has no closed form");
+  return k.eager_bound(c, eager_threshold);
 }
 
 ShmPoolReport verify_shm_pool(const trace::Schedule& sched,

@@ -9,10 +9,8 @@
 
 #include "bsbutil/error.hpp"
 #include "coll/scatter_binomial.hpp"
-#include "comm/chunks.hpp"
 #include "core/ring_plan.hpp"
 #include "core/transfer_analysis.hpp"
-#include "trace/counters.hpp"
 #include "trace/coverage.hpp"
 #include "trace/match.hpp"
 #include "trace/record.hpp"
@@ -27,15 +25,15 @@ namespace {
 
 using fuzz::FuzzCase;
 using fuzz::Variant;
+using registry::count_mismatch;
 
 void add_failure(CaseResult* res, const std::string& what) {
   res->ok = false;
   res->failures.push_back(what);
 }
 
-std::string mismatch(const char* what, std::uint64_t got, std::uint64_t want) {
-  return std::string(what) + ": schedule has " + std::to_string(got) +
-         ", closed form says " + std::to_string(want);
+bool is_hier(fuzz::Variant v) noexcept {
+  return registry::collective(v).shape == registry::Shape::Hier;
 }
 
 /// The shared property suite: lint, match, happens-before (per threshold),
@@ -117,8 +115,8 @@ void verify_impl(const trace::Schedule& sched, int root,
   }
 
   // 3c. Shm-pool occupancy proof for the hier fan-out phase.
-  if (cfg != nullptr && opt.check_bounds &&
-      cfg->variant == Variant::BcastHier && !cfg->node_sizes.empty()) {
+  if (cfg != nullptr && opt.check_bounds && is_hier(cfg->variant) &&
+      !cfg->node_sizes.empty()) {
     const ShmPoolReport shm = verify_shm_pool(sched, cfg->node_sizes, root);
     res->shm_checked = true;
     res->shm_peak_node_bytes = shm.peak_node_bytes;
@@ -147,14 +145,15 @@ void verify_impl(const trace::Schedule& sched, int root,
     if (expect != nullptr && cov.ok) {
       if (expect->redundant_bytes &&
           cov.redundant_bytes != *expect->redundant_bytes) {
-        add_failure(res, mismatch("redundancy: redundant bytes",
-                                  cov.redundant_bytes,
-                                  *expect->redundant_bytes));
+        add_failure(res, count_mismatch("redundancy: redundant bytes",
+                                        cov.redundant_bytes,
+                                        *expect->redundant_bytes));
       }
       if (expect->redundant_msgs &&
           cov.redundant_msgs != *expect->redundant_msgs) {
-        add_failure(res, mismatch("redundancy: fully-redundant messages",
-                                  cov.redundant_msgs, *expect->redundant_msgs));
+        add_failure(res, count_mismatch("redundancy: fully-redundant messages",
+                                        cov.redundant_msgs,
+                                        *expect->redundant_msgs));
       }
     }
   }
@@ -176,70 +175,23 @@ void verify_impl(const trace::Schedule& sched, int root,
     if (expect != nullptr && rf.ok) {
       if (expect->redundant_bytes &&
           rf.redundant_bytes != *expect->redundant_bytes) {
-        add_failure(res, mismatch("redundancy: redundant reduced bytes",
-                                  rf.redundant_bytes, *expect->redundant_bytes));
+        add_failure(res, count_mismatch("redundancy: redundant reduced bytes",
+                                        rf.redundant_bytes,
+                                        *expect->redundant_bytes));
       }
       if (expect->redundant_msgs &&
           rf.redundant_msgs != *expect->redundant_msgs) {
         add_failure(res,
-                    mismatch("redundancy: fully-redundant reduced messages",
-                             rf.redundant_msgs, *expect->redundant_msgs));
+                    count_mismatch("redundancy: fully-redundant reduced messages",
+                                   rf.redundant_msgs, *expect->redundant_msgs));
       }
     }
   }
 
   // 5. Transfer-count conformance against the closed forms.
   if (expect != nullptr) {
-    if (expect->total_sends && res->total_sends != *expect->total_sends) {
-      add_failure(res, mismatch("transfers: total messages", res->total_sends,
-                                *expect->total_sends));
-    }
-    if (!expect->per_rank_counts.empty()) {
-      const auto per_rank = trace::per_rank_op_counts(sched);
-      for (int r = 0; r < sched.nranks && res->failures.size() < 8; ++r) {
-        const auto& want = expect->per_rank_counts[static_cast<std::size_t>(r)];
-        if (per_rank[r].sends != want.first) {
-          add_failure(res, mismatch(("transfers: rank " + std::to_string(r) +
-                                     " sends")
-                                        .c_str(),
-                                    per_rank[r].sends, want.first));
-        }
-        if (per_rank[r].recvs != want.second) {
-          add_failure(res, mismatch(("transfers: rank " + std::to_string(r) +
-                                     " recvs")
-                                        .c_str(),
-                                    per_rank[r].recvs, want.second));
-        }
-      }
-    }
-    if ((expect->tuned_ring_per_rank || expect->native_ring_per_rank) &&
-        cfg != nullptr) {
-      const int P = sched.nranks;
-      const auto per_rank = trace::per_rank_op_counts(sched);
-      for (int r = 0; r < P && res->failures.size() < 8; ++r) {
-        std::uint64_t want_sends = 0, want_recvs = 0;
-        if (expect->tuned_ring_per_rank) {
-          const core::RingPlan plan =
-              core::compute_ring_plan(rel_rank(r, cfg->root, P), P);
-          want_sends = static_cast<std::uint64_t>(core::tuned_sends(plan, P));
-          want_recvs = static_cast<std::uint64_t>(core::tuned_recvs(plan, P));
-        } else {
-          want_sends = want_recvs = static_cast<std::uint64_t>(P - 1);
-        }
-        if (per_rank[r].sends != want_sends) {
-          add_failure(res, mismatch(("transfers: rank " + std::to_string(r) +
-                                     " sends")
-                                        .c_str(),
-                                    per_rank[r].sends, want_sends));
-        }
-        if (per_rank[r].recvs != want_recvs) {
-          add_failure(res, mismatch(("transfers: rank " + std::to_string(r) +
-                                     " recvs")
-                                        .c_str(),
-                                    per_rank[r].recvs, want_recvs));
-        }
-      }
-    }
+    registry::check_transfers(sched, *expect, &res->failures);
+    if (!res->failures.empty()) res->ok = false;
   }
 }
 
@@ -578,10 +530,10 @@ SweepReport run_sweep(const SweepOptions& opt, std::ostream& out) {
         for (const int root : roots) {
           if (rootless && root != roots.front()) continue;
           std::vector<HierShape> shapes{{}};
-          if (v == Variant::BcastHier) shapes = hier_shapes(P);
+          if (is_hier(v)) shapes = hier_shapes(P);
           for (const HierShape& shape : shapes) {
           FuzzCase c = sweep_case(v, P, root, nbytes);
-          if (v == Variant::BcastHier) {
+          if (is_hier(v)) {
             c.node_sizes = shape.node_sizes;
             c.use_tuned_ring = shape.tuned;
             c = fuzz::normalize_case(std::move(c));

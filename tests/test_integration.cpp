@@ -124,12 +124,14 @@ INSTANTIATE_TEST_SUITE_P(Grid, TunedNeverSlower, ::testing::ValuesIn(grid()),
 TEST(SmpSim, TunedInterPhaseNotSlower) {
   const int P = 48;  // two 24-core nodes
   const Topology topo = Topology::hornet(P);
+  const hier::Topology nodes =
+      hier::Topology::uniform(P, topo.cores_per_node());
   netsim::SimSpec spec{topo, netsim::CostModel::hornet(), 6};
   auto run = [&](bool tuned) {
     return netsim::simulate_program(
         P, 200000,
         [&](Comm& c, std::span<std::byte> b) {
-          coll::bcast_smp(c, b, 0, topo,
+          coll::bcast_smp(c, b, 0, nodes,
                           [tuned](Comm& l, std::span<std::byte> lb, int lr) {
                             if (tuned) {
                               core::bcast_scatter_ring_tuned(l, lb, lr);

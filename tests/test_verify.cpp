@@ -9,12 +9,16 @@
 
 #include "bsbutil/rng.hpp"
 #include "coll/plan.hpp"
+#include "coll/scatter_binomial.hpp"
 #include "coll/tags.hpp"
+#include "comm/chunks.hpp"
+#include "comm/vchunks.hpp"
 #include "core/transfer_analysis.hpp"
 #include "fuzz/case.hpp"
 #include "fuzz/runner.hpp"
 #include "mpisim/thread_comm.hpp"
 #include "mpisim/world.hpp"
+#include "trace/coverage.hpp"
 #include "trace/match.hpp"
 #include "trace/record.hpp"
 #include "trace/reduce_flow.hpp"
@@ -441,9 +445,10 @@ TEST(Verifier, SkewedAllgathervMatchesClosedFormsAndTunedIsWasteFree) {
 // ----------------------------------------------- oracle/verifier agreement
 
 TEST(Verifier, AgreesWithThreadedOracleOn150SeededCases) {
-  // The verifier re-derives each variant's initial-ownership contract and
-  // closed forms independently of the fuzz runner; the seeded random
-  // configurations keep the two models honest against each other.
+  // The verifier and the fuzz runner read the same registry row, so what
+  // keeps the closed forms honest is the runner's threaded byte oracle
+  // (pattern or reduction fold): on seeded random configurations a schedule
+  // the verifier proves must also deliver the right bytes, and vice versa.
   // (150 draws: the smallest round count covering all 23 variants.)
   fuzz::GeneratorOptions gen;
   gen.max_ranks = 16;
@@ -471,6 +476,67 @@ TEST(Verifier, AgreesWithThreadedOracleOn150SeededCases) {
         fuzz::Variant::BcastHier,
         fuzz::Variant::IbcastConcurrent}) {
     EXPECT_TRUE(seen.count(v)) << fuzz::to_string(v);
+  }
+}
+
+/// Bytes of `layout` covered by the chunk indices in `chunks`.
+template <typename Layout>
+IntervalSet weigh(const IntervalSet& chunks, const Layout& layout) {
+  IntervalSet out;
+  for (const Interval iv : chunks.parts()) {
+    const auto first = static_cast<int>(iv.lo);
+    const std::uint64_t lo = layout.disp(first);
+    out.insert(
+        {lo, lo + layout.range_count(first, static_cast<int>(iv.length()))});
+  }
+  return out;
+}
+
+TEST(Contract, PostScatterOwnershipIsWhatScatterBinomialLeaves) {
+  // These variants run over binomial-scatter output. Their registry contract
+  // must state exactly the chunks coll::scatter_binomial leaves on each
+  // rank (recorded over one byte per chunk), weighed by the variant's
+  // uniform or skewed layout.
+  for (const auto v : {fuzz::Variant::AllgatherRingTuned,
+                       fuzz::Variant::AllgatherRecursiveDoubling,
+                       fuzz::Variant::AllgathervRingNative,
+                       fuzz::Variant::AllgathervRingTuned}) {
+    for (int P = 2; P <= 33; ++P) {
+      if (fuzz::fit_ranks(v, P) != P) continue;
+      for (int root = 0; root < P; ++root) {
+        fuzz::FuzzCase c;
+        c.variant = v;
+        c.nranks = P;
+        c.root = root;
+        c.nbytes = 97 * static_cast<std::uint64_t>(P) + 13;
+        c.skew_seed = 0x5eedu + static_cast<std::uint64_t>(P);
+        c = fuzz::normalize_case(c);
+        const Schedule sched = trace::record_schedule(
+            P, static_cast<std::uint64_t>(P),
+            [&](Comm& comm, std::span<std::byte> buf) {
+              coll::scatter_binomial(comm, buf, root,
+                                     ChunkLayout(buf.size(), P));
+            });
+        trace::CoverageOptions copt;
+        copt.require_full_final_coverage = false;
+        const trace::CoverageReport held = trace::validate_coverage(
+            sched, trace::match_schedule(sched), root, copt);
+        ASSERT_TRUE(held.ok) << held.diagnostics;
+        const std::vector<IntervalSet> contract = initial_coverage(c);
+        for (int r = 0; r < P; ++r) {
+          const auto ri = static_cast<std::size_t>(r);
+          const IntervalSet bytes =
+              fuzz::is_allgatherv(v)
+                  ? weigh(held.final_coverage[ri],
+                          VarLayout(skewed_counts(P, c.nbytes, c.skew_seed)))
+                  : weigh(held.final_coverage[ri], ChunkLayout(c.nbytes, P));
+          EXPECT_TRUE(bytes == contract[ri])
+              << describe(c) << " rank " << r << ": scatter leaves "
+              << bytes.to_string() << ", contract says "
+              << contract[ri].to_string();
+        }
+      }
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "bcast_test_util.hpp"
+#include "case_bytes.hpp"
 #include "coll/allgather_bruck.hpp"
 #include "coll/allgather_neighbor_exchange.hpp"
 #include "coll/allgather_recursive_doubling.hpp"
@@ -85,6 +86,10 @@ struct BcastCase {
   std::uint64_t nbytes;
   int root;
 };
+
+void PrintTo(const BcastCase& c, std::ostream* os) {
+  testutil::print_case_bytes(c, os);
+}
 
 std::vector<BcastCase> sweep_cases() {
   std::vector<BcastCase> cases;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "bcast_test_util.hpp"
+#include "case_bytes.hpp"
 #include "coll/allgather_ring_native.hpp"
 #include "coll/bcast_scatter_ring_native.hpp"
 #include "coll/scatter_binomial.hpp"
@@ -255,6 +256,10 @@ struct BcastCase {
   std::uint64_t nbytes;
   int root;
 };
+
+void PrintTo(const BcastCase& c, std::ostream* os) {
+  testutil::print_case_bytes(c, os);
+}
 
 std::vector<BcastCase> sweep_cases() {
   std::vector<BcastCase> cases;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bsbutil/rng.hpp"
+#include "case_bytes.hpp"
 #include "coll/alltoall.hpp"
 #include "coll/comm_split.hpp"
 #include "coll/gather_binomial.hpp"
@@ -28,6 +29,10 @@ struct GatherCase {
   std::uint64_t block;
   int root;
 };
+
+void PrintTo(const GatherCase& c, std::ostream* os) {
+  testutil::print_case_bytes(c, os);
+}
 
 class GatherSweep : public ::testing::TestWithParam<GatherCase> {};
 
@@ -192,6 +197,10 @@ struct ScatterCase {
   std::uint64_t block;
   int root;
 };
+
+void PrintTo(const ScatterCase& c, std::ostream* os) {
+  testutil::print_case_bytes(c, os);
+}
 
 class ScatterSweep : public ::testing::TestWithParam<ScatterCase> {};
 

@@ -12,6 +12,7 @@
 #include <map>
 
 #include "bsbutil/math.hpp"
+#include "case_bytes.hpp"
 #include "trace/export.hpp"
 
 #include "coll/bcast_binomial.hpp"
@@ -73,6 +74,10 @@ struct GridPoint {
   std::uint64_t nbytes;
   int cores;
 };
+
+void PrintTo(const GridPoint& c, std::ostream* os) {
+  testutil::print_case_bytes(c, os);
+}
 
 class TunedNeverSlower : public ::testing::TestWithParam<GridPoint> {};
 

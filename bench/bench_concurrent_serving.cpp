@@ -47,41 +47,6 @@ core::BcastConfig ring_config(bool tuned) {
   return cfg;
 }
 
-/// A coll::Plan replayed under netsim: the per-rank step lists translate
-/// 1:1 into trace ops (plans cannot hold barriers or foreign offsets).
-trace::Schedule schedule_from_plan(const coll::Plan& plan) {
-  trace::Schedule s;
-  s.nranks = plan.nranks;
-  s.nbytes = plan.nbytes;
-  s.ops.resize(plan.steps.size());
-  for (std::size_t r = 0; r < plan.steps.size(); ++r) {
-    for (const coll::PlanStep& step : plan.steps[r]) {
-      trace::Op op;
-      switch (step.kind) {
-        case coll::PlanStep::Kind::Send:
-          op.kind = trace::OpKind::Send;
-          break;
-        case coll::PlanStep::Kind::Recv:
-          op.kind = trace::OpKind::Recv;
-          break;
-        case coll::PlanStep::Kind::SendRecv:
-          op.kind = trace::OpKind::SendRecv;
-          break;
-      }
-      op.dst = step.dst;
-      op.send_tag = step.tag;
-      op.send_bytes = step.send_len;
-      op.send_off = step.send_off;
-      op.src = step.src;
-      op.recv_tag = step.tag;
-      op.recv_cap = step.recv_len;
-      op.recv_off = step.recv_off;
-      s.ops[r].push_back(op);
-    }
-  }
-  return s;
-}
-
 struct Arrival {
   double t = 0;
   int window = 0;  // first world rank of the communicator
@@ -117,11 +82,10 @@ ServingRun serve(const std::vector<Arrival>& arrivals, bool tuned,
                  const Topology& topo, const netsim::CostModel& cost) {
   const core::BcastConfig cfg = ring_config(tuned);
 
-  // Keep every distinct plan's schedule + match alive for the replay. The
-  // plans themselves come from (and stay in) the process schedule cache.
+  // Keep every distinct plan (it is the replayed schedule) and its match
+  // alive for the replay. The plans come from the process schedule cache.
   struct Compiled {
     std::shared_ptr<const coll::Plan> plan;
-    trace::Schedule sched;
     trace::MatchResult match;
   };
   std::map<const coll::Plan*, Compiled> compiled;
@@ -132,11 +96,10 @@ ServingRun serve(const std::vector<Arrival>& arrivals, bool tuned,
     auto [it, inserted] = compiled.try_emplace(plan.get());
     if (inserted) {
       it->second.plan = plan;
-      it->second.sched = schedule_from_plan(*plan);
-      it->second.match = trace::match_schedule(it->second.sched);
+      it->second.match = trace::match_schedule(*plan);
     }
     netsim::ReplayJob job;
-    job.sched = &it->second.sched;
+    job.sched = plan.get();
     job.match = &it->second.match;
     job.arrival = a.t;
     // Plans are root-canonical (one compilation serves every root), so
@@ -169,10 +132,9 @@ int run_bench(const Options& opt) {
   // broadcasts in flight (shared-NIC contention) without runaway queueing.
   const auto solo_plan =
       core::bcast_plan(kCommRanks, kBytes, 0, ring_config(false));
-  const trace::Schedule solo_sched = schedule_from_plan(*solo_plan);
-  const trace::MatchResult solo_match = trace::match_schedule(solo_sched);
+  const trace::MatchResult solo_match = trace::match_schedule(*solo_plan);
   netsim::ReplayJob solo_job;
-  solo_job.sched = &solo_sched;
+  solo_job.sched = solo_plan.get();
   solo_job.match = &solo_match;
   for (int r = 0; r < kCommRanks; ++r) solo_job.rank_map.push_back(r);
   const std::vector<netsim::ReplayJob> solo_jobs{solo_job};

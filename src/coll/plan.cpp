@@ -7,98 +7,29 @@
 
 namespace bsb::coll {
 
-std::uint64_t Plan::total_sends() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& rank_steps : steps) {
-    for (const PlanStep& s : rank_steps) {
-      if (s.kind != PlanStep::Kind::Recv) ++n;
-    }
-  }
-  return n;
-}
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-constexpr std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) noexcept {
-  // Word-wise FNV-1a: the multiply keeps the mix order-sensitive, and one
-  // step per field stays cheap on the 16M-step P=4096 ring plans.
-  return (h ^ v) * kFnvPrime;
-}
-
-}  // namespace
-
-std::uint64_t Plan::fingerprint() const noexcept {
-  std::uint64_t h = kFnvOffset;
-  h = fnv_mix(h, static_cast<std::uint64_t>(nranks));
-  h = fnv_mix(h, nbytes);
-  for (const auto& rank_steps : steps) {
-    h = fnv_mix(h, rank_steps.size());
-    for (const PlanStep& s : rank_steps) {
-      h = fnv_mix(h, static_cast<std::uint64_t>(s.kind));
-      h = fnv_mix(h, static_cast<std::uint64_t>(s.dst));
-      h = fnv_mix(h, s.send_off);
-      h = fnv_mix(h, s.send_len);
-      h = fnv_mix(h, static_cast<std::uint64_t>(s.src));
-      h = fnv_mix(h, s.recv_off);
-      h = fnv_mix(h, s.recv_len);
-      h = fnv_mix(h, static_cast<std::uint64_t>(s.tag));
-    }
-  }
-  return h;
-}
-
-Plan compile_plan(int nranks, std::uint64_t nbytes, int root, std::string name,
+Plan compile_plan(int nranks, std::uint64_t nbytes, std::string name,
                   const trace::RankProgram& program) {
   BSB_REQUIRE(nranks >= 1, "compile_plan: nranks must be positive");
-  BSB_REQUIRE(root >= 0 && root < nranks, "compile_plan: root out of range");
   Plan plan;
-  plan.nranks = nranks;
-  plan.nbytes = nbytes;
-  plan.root = root;
+  static_cast<trace::Schedule&>(plan) =
+      trace::record_schedule(nranks, nbytes, program);
   plan.name = std::move(name);
-  plan.steps.resize(static_cast<std::size_t>(nranks));
-
-  std::vector<std::byte> scratch(nbytes);
-  std::vector<trace::Op> ops;
-  for (int r = 0; r < nranks; ++r) {
-    ops.clear();
-    trace::RecordingComm recorder(r, nranks, scratch, ops);
-    program(recorder, scratch);
-
-    auto& steps = plan.steps[static_cast<std::size_t>(r)];
-    steps.reserve(ops.size());
-    for (const trace::Op& op : ops) {
-      PlanStep step;
-      switch (op.kind) {
-        case trace::OpKind::Send: step.kind = PlanStep::Kind::Send; break;
-        case trace::OpKind::Recv: step.kind = PlanStep::Kind::Recv; break;
-        case trace::OpKind::SendRecv: step.kind = PlanStep::Kind::SendRecv; break;
-        case trace::OpKind::Barrier:
-          BSB_REQUIRE(false, "compile_plan: algorithm uses barriers");
-      }
+  for (const auto& rank_ops : plan.ops) {
+    for (const trace::Op& op : rank_ops) {
+      BSB_REQUIRE(op.kind != trace::OpKind::Barrier,
+                  "compile_plan: algorithm uses barriers");
       if (op.has_send()) {
         BSB_REQUIRE(op.send_off != trace::kForeignOffset,
                     "compile_plan: algorithm used scratch memory");
-        step.dst = op.dst;
-        step.send_off = op.send_off;
-        step.send_len = op.send_bytes;
-        step.tag = op.send_tag;
+        plan.max_tag = std::max(plan.max_tag, op.send_tag);
       }
       if (op.has_recv()) {
         BSB_REQUIRE(op.recv_off != trace::kForeignOffset,
                     "compile_plan: algorithm used scratch memory");
         BSB_REQUIRE(!op.has_send() || op.recv_tag == op.send_tag,
                     "compile_plan: sendrecv halves use different tags");
-        step.src = op.src;
-        step.recv_off = op.recv_off;
-        step.recv_len = op.recv_cap;
-        step.tag = op.recv_tag;
+        plan.max_tag = std::max(plan.max_tag, op.recv_tag);
       }
-      plan.max_tag = std::max(plan.max_tag, step.tag);
-      steps.push_back(step);
     }
   }
   return plan;
@@ -115,91 +46,46 @@ void execute_plan_rank(Comm& comm, const Plan& plan, int rank,
   BSB_REQUIRE(buffer.size() == plan.nbytes,
               "execute_plan_rank: buffer size differs from the planned size");
   const int P = plan.nranks;
-  const int local = rel_rank(rank, root, P);
-  for (const PlanStep& s : plan.steps[static_cast<std::size_t>(local)]) {
-    switch (s.kind) {
-      case PlanStep::Kind::Send:
-        comm.send(std::span<const std::byte>(buffer).subspan(s.send_off, s.send_len),
-                  abs_rank(s.dst, root, P), s.tag);
-        break;
-      case PlanStep::Kind::Recv:
-        comm.recv(buffer.subspan(s.recv_off, s.recv_len),
-                  abs_rank(s.src, root, P), s.tag);
-        break;
-      case PlanStep::Kind::SendRecv:
-        comm.sendrecv(
-            std::span<const std::byte>(buffer).subspan(s.send_off, s.send_len),
-            abs_rank(s.dst, root, P), s.tag,
-            buffer.subspan(s.recv_off, s.recv_len), abs_rank(s.src, root, P),
-            s.tag);
-        break;
+  const std::span<const std::byte> in(buffer);
+  for (const trace::Op& op : plan.ops[static_cast<std::size_t>(
+           rel_rank(rank, root, P))]) {
+    if (op.kind == trace::OpKind::SendRecv) {
+      comm.sendrecv(in.subspan(op.send_off, op.send_bytes),
+                    abs_rank(op.dst, root, P), op.send_tag,
+                    buffer.subspan(op.recv_off, op.recv_cap),
+                    abs_rank(op.src, root, P), op.recv_tag);
+    } else if (op.has_send()) {
+      comm.send(in.subspan(op.send_off, op.send_bytes),
+                abs_rank(op.dst, root, P), op.send_tag);
+    } else {
+      comm.recv(buffer.subspan(op.recv_off, op.recv_cap),
+                abs_rank(op.src, root, P), op.recv_tag);
     }
   }
-}
-
-trace::Schedule plan_to_schedule(const Plan& plan, int root) {
-  BSB_REQUIRE(root >= 0 && root < plan.nranks,
-              "plan_to_schedule: root out of range");
-  const int P = plan.nranks;
-  trace::Schedule sched;
-  sched.nranks = P;
-  sched.nbytes = plan.nbytes;
-  sched.ops.resize(static_cast<std::size_t>(P));
-  for (int rel = 0; rel < P; ++rel) {
-    auto& ops = sched.ops[static_cast<std::size_t>(abs_rank(rel, root, P))];
-    const auto& steps = plan.steps[static_cast<std::size_t>(rel)];
-    ops.reserve(steps.size());
-    for (const PlanStep& s : steps) {
-      trace::Op op;
-      switch (s.kind) {
-        case PlanStep::Kind::Send: op.kind = trace::OpKind::Send; break;
-        case PlanStep::Kind::Recv: op.kind = trace::OpKind::Recv; break;
-        case PlanStep::Kind::SendRecv:
-          op.kind = trace::OpKind::SendRecv;
-          break;
-      }
-      if (s.kind != PlanStep::Kind::Recv) {
-        op.dst = abs_rank(s.dst, root, P);
-        op.send_tag = s.tag;
-        op.send_bytes = s.send_len;
-        op.send_off = s.send_off;
-      }
-      if (s.kind != PlanStep::Kind::Send) {
-        op.src = abs_rank(s.src, root, P);
-        op.recv_tag = s.tag;
-        op.recv_cap = s.recv_len;
-        op.recv_off = s.recv_off;
-      }
-      ops.push_back(op);
-    }
-  }
-  return sched;
 }
 
 std::string describe_plan_rank(const Plan& plan, int rank) {
   BSB_REQUIRE(rank >= 0 && rank < plan.nranks,
               "describe_plan_rank: rank out of range");
-  const auto& steps = plan.steps[static_cast<std::size_t>(rank)];
+  const auto& ops = plan.ops[static_cast<std::size_t>(rank)];
   std::string out = plan.name + ", " + std::to_string(plan.nbytes) +
-                    " bytes, root " + std::to_string(plan.root) + ", " +
-                    std::to_string(steps.size()) + " step(s) on rank " +
-                    std::to_string(rank) + "\n";
-  for (const PlanStep& s : steps) {
-    switch (s.kind) {
-      case PlanStep::Kind::Send:
-        out += "  send  [" + std::to_string(s.send_off) + "+" +
-               std::to_string(s.send_len) + ") -> " + std::to_string(s.dst) + "\n";
-        break;
-      case PlanStep::Kind::Recv:
-        out += "  recv  [" + std::to_string(s.recv_off) + "+" +
-               std::to_string(s.recv_len) + ") <- " + std::to_string(s.src) + "\n";
-        break;
-      case PlanStep::Kind::SendRecv:
-        out += "  xchg  [" + std::to_string(s.send_off) + "+" +
-               std::to_string(s.send_len) + ") -> " + std::to_string(s.dst) +
-               ", [" + std::to_string(s.recv_off) + "+" +
-               std::to_string(s.recv_len) + ") <- " + std::to_string(s.src) + "\n";
-        break;
+                    " bytes, " + std::to_string(ops.size()) +
+                    " step(s) on rank " + std::to_string(rank) + "\n";
+  const auto send_half = [](const trace::Op& op) {
+    return "[" + std::to_string(op.send_off) + "+" +
+           std::to_string(op.send_bytes) + ") -> " + std::to_string(op.dst);
+  };
+  const auto recv_half = [](const trace::Op& op) {
+    return "[" + std::to_string(op.recv_off) + "+" +
+           std::to_string(op.recv_cap) + ") <- " + std::to_string(op.src);
+  };
+  for (const trace::Op& op : ops) {
+    if (op.kind == trace::OpKind::SendRecv) {
+      out += "  xchg  " + send_half(op) + ", " + recv_half(op) + "\n";
+    } else if (op.has_send()) {
+      out += "  send  " + send_half(op) + "\n";
+    } else {
+      out += "  recv  " + recv_half(op) + "\n";
     }
   }
   return out;

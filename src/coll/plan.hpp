@@ -1,13 +1,15 @@
-// coll::Plan — a collective "compiled" to per-rank point-to-point step
+// coll::Plan — a collective "compiled" to per-rank point-to-point op
 // lists, the shared representation behind core::PersistentBcast, the
 // nonblocking collectives (core::ibcast / core::iallgather) and the
-// process-wide schedule cache. A Plan holds the step tables for ALL ranks
-// of the communicator, so one cached Plan serves every rank thread of a
-// World and replanning cost is paid once per (P, root, nbytes, algorithm).
+// process-wide schedule cache. A Plan holds the op lists for ALL ranks of
+// the communicator, so one cached Plan serves every rank thread of a World
+// and replanning cost is paid once per (P, nbytes, algorithm).
 //
-// Plans are compiled by running the blocking algorithm under
-// trace::RecordingComm once per rank: the algorithms are data-oblivious,
-// so the recording IS the schedule every execution will follow.
+// A Plan IS the trace::Schedule that trace::record_schedule captures from
+// the blocking algorithm run at root 0: the algorithms are data-oblivious,
+// so the recording is the schedule every execution will follow. Plans are
+// root-canonical: executors rotate the root-0 schedule to the caller's root
+// by relabelling peers (trace::rotate_schedule spells the mapping out).
 // Compilation rejects algorithms that use barriers or scratch memory
 // outside the collective buffer — those cannot be replayed offset-relative.
 #pragma once
@@ -15,75 +17,44 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "comm/comm.hpp"
 #include "trace/record.hpp"
+#include "trace/schedule.hpp"
 
 namespace bsb::coll {
-
-/// One precompiled point-to-point action of one rank.
-struct PlanStep {
-  enum class Kind : std::uint8_t { Send, Recv, SendRecv } kind = Kind::Send;
-  // send half (Send / SendRecv)
-  int dst = -1;
-  std::uint64_t send_off = 0;
-  std::uint64_t send_len = 0;
-  // receive half (Recv / SendRecv)
-  int src = -1;
-  std::uint64_t recv_off = 0;
-  std::uint64_t recv_len = 0;
-  int tag = 0;
-};
 
 /// A collective compiled for every rank of a P-rank communicator.
 /// Immutable after compile_plan; shared across threads via
 /// shared_ptr<const Plan> (the schedule cache hands those out).
-struct Plan {
-  int nranks = 0;
-  std::uint64_t nbytes = 0;
-  int root = 0;
-  std::string name;                        // algorithm, for diagnostics
-  std::vector<std::vector<PlanStep>> steps;  // steps[rank], program order
-  int max_tag = 0;  // largest tag used by any step (progress-engine striding)
+struct Plan : trace::Schedule {
+  std::string name;  // algorithm, for diagnostics
+  int max_tag = 0;   // largest tag of any op half (progress-engine striding)
 
-  /// Number of messages the whole collective initiates.
-  std::uint64_t total_sends() const noexcept;
-
-  /// Order-sensitive FNV-1a hash over every rank's step list (shape plus
-  /// all step fields). Equal fingerprints mean step-for-step identical
-  /// plans; the rotation-equivalence prover (verify/equiv.hpp) reports it
-  /// next to divergence witnesses so failures name the exact plan proven
-  /// against.
-  std::uint64_t fingerprint() const noexcept;
+  /// trace::fingerprint of the schedule. The rotation-equivalence prover
+  /// (verify/equiv.hpp) reports it next to divergence witnesses so failures
+  /// name the exact plan proven against.
+  std::uint64_t fingerprint() const noexcept { return trace::fingerprint(*this); }
 };
 
-/// Compile `program` (a per-rank blocking algorithm body) into a Plan by
-/// recording each rank's op sequence. Throws if the program uses barriers
-/// or buffers outside the collective's data buffer.
-Plan compile_plan(int nranks, std::uint64_t nbytes, int root, std::string name,
+/// Compile `program` (a per-rank blocking algorithm body, written for root
+/// 0) into a Plan by recording each rank's op sequence. Throws if the
+/// program uses barriers, buffers outside the collective's data buffer, or
+/// a sendrecv whose two halves carry different tags.
+Plan compile_plan(int nranks, std::uint64_t nbytes, std::string name,
                   const trace::RankProgram& program);
 
-/// Blocking replay of rank `rank`'s step list over `buffer` (must be
+/// Blocking replay of one rank's op list over `buffer` (must be
 /// plan.nbytes long). PersistentBcast::execute and tests use this; the
-/// nonblocking path drives the same steps through mpisim's progress engine.
+/// nonblocking path drives the same ops through mpisim's progress engine.
 ///
-/// `root` rotates a root-canonical plan (compiled at root 0, as the
-/// schedule cache stores them): absolute rank `rank` runs the step list of
-/// plan rank rel_rank(rank, root, P) with every peer mapped back through
-/// abs_rank. With root 0 this is a plain replay.
+/// `root` rotates the root-canonical plan: absolute rank `rank` runs the
+/// op list of plan rank rel_rank(rank, root, P) with every peer mapped back
+/// through abs_rank. With root 0 this is a plain replay.
 void execute_plan_rank(Comm& comm, const Plan& plan, int rank,
                        std::span<std::byte> buffer, int root = 0);
 
-/// Expand a root-canonical plan into the trace::Schedule its rotated
-/// execution at `root` performs: absolute rank abs_rank(rel, root, P) gets
-/// plan rank rel's steps with both peers mapped through abs_rank and
-/// offsets/tags unchanged — exactly execute_plan_rank's mapping, but
-/// materialized for static analysis. The rotation-equivalence prover and
-/// tests iterate cached plans through this hook.
-trace::Schedule plan_to_schedule(const Plan& plan, int root = 0);
-
-/// Human-readable listing of one rank's steps.
+/// Human-readable listing of one rank's ops.
 std::string describe_plan_rank(const Plan& plan, int rank);
 
 }  // namespace bsb::coll

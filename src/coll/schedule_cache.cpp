@@ -18,8 +18,7 @@ std::shared_ptr<const Plan> ScheduleCache::get_or_build(const PlanKey& key,
   }
   ++misses_;
   auto plan = std::make_shared<const Plan>(build());
-  BSB_REQUIRE(plan->nranks == key.nranks && plan->nbytes == key.nbytes &&
-                  plan->root == key.root,
+  BSB_REQUIRE(plan->nranks == key.nranks && plan->nbytes == key.nbytes,
               "ScheduleCache: builder produced a plan for a different key");
   lru_.push_front(key);
   map_.emplace(key, Entry{plan, lru_.begin()});

@@ -1,7 +1,7 @@
-// Process-wide schedule cache: memoizes (P, root, nbytes, algorithm) →
-// shared coll::Plan so the hot serving path never recomputes chunk layouts
-// or ring plans. LRU-bounded, thread-safe, with hit/miss/eviction counters
-// (the concurrent-serving bench asserts a steady-state hit rate).
+// Process-wide schedule cache: memoizes (P, nbytes, algorithm) → shared
+// root-canonical coll::Plan so the hot serving path never recomputes chunk
+// layouts or ring plans. LRU-bounded, thread-safe, with hit/miss/eviction
+// counters (the concurrent-serving bench asserts a steady-state hit rate).
 //
 // Plans are immutable and handed out as shared_ptr<const Plan>: an entry
 // may be evicted while ranks still execute it — their shared_ptr keeps the
@@ -24,7 +24,6 @@ namespace bsb::coll {
 /// defines the ids for the bcast/allgather families.
 struct PlanKey {
   int nranks = 0;
-  int root = 0;
   std::uint64_t nbytes = 0;
   int algorithm = 0;
   bool operator==(const PlanKey&) const = default;
@@ -34,7 +33,6 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& k) const noexcept {
     // splitmix64-style mix over the packed fields.
     std::uint64_t h = static_cast<std::uint64_t>(k.nranks);
-    h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(k.root);
     h = h * 0x9e3779b97f4a7c15ULL + k.nbytes;
     h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(k.algorithm);
     h ^= h >> 30; h *= 0xbf58476d1ce4e5b9ULL;

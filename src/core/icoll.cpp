@@ -50,10 +50,10 @@ std::shared_ptr<const coll::Plan> bcast_plan(int nranks, std::uint64_t nbytes,
   // rank rel_rank(r, root, P)'s schedule at root 0 with peers rotated.
   // Executors apply the rotation (execute_plan_rank's root parameter, the
   // progress engine's member map).
-  const coll::PlanKey key{nranks, /*root=*/0, nbytes, static_cast<int>(algo)};
+  const coll::PlanKey key{nranks, nbytes, static_cast<int>(algo)};
   return coll::process_schedule_cache().get_or_build(key, [&] {
     return coll::compile_plan(
-        nranks, nbytes, /*root=*/0, to_string(algo),
+        nranks, nbytes, to_string(algo),
         [algo](Comm& c, std::span<std::byte> buf) {
           run_bcast_algorithm(algo, c, buf, /*root=*/0);
         });
@@ -68,11 +68,10 @@ std::shared_ptr<const coll::Plan> allgather_plan(int nranks,
   // Root-canonical, exactly like bcast_plan: chunk ownership and offsets
   // are already expressed in relative ranks, so the root-0 plan rotated is
   // the root-r schedule.
-  const coll::PlanKey key{nranks, /*root=*/0, nbytes, id};
+  const coll::PlanKey key{nranks, nbytes, id};
   return coll::process_schedule_cache().get_or_build(key, [&] {
     return coll::compile_plan(
-        nranks, nbytes, /*root=*/0,
-        tuned ? "allgather_ring_tuned" : "allgather_ring_native",
+        nranks, nbytes, tuned ? "allgather_ring_tuned" : "allgather_ring_native",
         [tuned](Comm& c, std::span<std::byte> buf) {
           const ChunkLayout layout(buf.size(), c.size());
           if (tuned) {

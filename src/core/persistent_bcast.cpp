@@ -20,8 +20,8 @@ void PersistentBcast::execute(std::span<std::byte> buffer) const {
   coll::execute_plan_rank(*comm_, *plan_, comm_->rank(), buffer, root_);
 }
 
-const std::vector<BcastStep>& PersistentBcast::steps() const noexcept {
-  return plan_->steps[static_cast<std::size_t>(
+const std::vector<trace::Op>& PersistentBcast::steps() const noexcept {
+  return plan_->ops[static_cast<std::size_t>(
       rel_rank(comm_->rank(), root_, comm_->size()))];
 }
 

@@ -1,11 +1,11 @@
 // Persistent broadcast (MPI-4 style, MPI_Bcast_init analogue): resolve the
 // algorithm choice, chunk layout and the tuned ring plan ONCE for a fixed
-// (comm, nbytes, root), then execute the precompiled step list many times.
+// (comm, nbytes, root), then execute the precompiled op list many times.
 // Solvers that broadcast the same-shaped buffer every iteration skip all
-// per-call planning; the step table also makes the tuned ring's structure
+// per-call planning; the op list also makes the tuned ring's structure
 // inspectable (used by tests and the cluster_explorer example).
 //
-// The step table is a shared coll::Plan fetched through the process-wide
+// The op lists are a shared coll::Plan fetched through the process-wide
 // schedule cache (coll/schedule_cache.hpp), so every rank of a World — and
 // every later PersistentBcast or core::ibcast of the same shape — reuses
 // one compilation.
@@ -23,10 +23,6 @@
 
 namespace bsb::core {
 
-/// One precompiled point-to-point action of the persistent schedule
-/// (the shared plan-step representation from coll/plan.hpp).
-using BcastStep = coll::PlanStep;
-
 /// A broadcast "compiled" for this rank of `comm` at construction time.
 /// execute() may be called any number of times; the buffer must have the
 /// same size each time (its contents of course change).
@@ -43,11 +39,11 @@ class PersistentBcast {
   std::uint64_t nbytes() const noexcept { return plan_->nbytes; }
   int root() const noexcept { return root_; }
 
-  /// The step list this rank will run (inspection/testing). The backing
-  /// plan is root-canonical, so the steps are in RELATIVE-rank coordinates
+  /// The op list this rank will run (inspection/testing). The backing
+  /// plan is root-canonical, so the ops are in RELATIVE-rank coordinates
   /// (peer r means absolute rank (r + root) % P); execute() applies the
   /// rotation.
-  const std::vector<BcastStep>& steps() const noexcept;
+  const std::vector<trace::Op>& steps() const noexcept;
 
   /// The whole-communicator plan backing this handle.
   const std::shared_ptr<const coll::Plan>& plan() const noexcept { return plan_; }

@@ -116,26 +116,28 @@ void ProgressEngine::progress() {
 
 void ProgressEngine::progress_op(CollRequest::Op& op) {
   if (op.done || op.error) return;
-  const auto& steps = op.plan->steps[static_cast<std::size_t>(op.local_rank)];
+  const auto& steps = op.plan->ops[static_cast<std::size_t>(op.local_rank)];
   while (true) {
     if (!op.issued) {
       if (op.pc == steps.size()) {
         op.done = true;
         return;
       }
-      const coll::PlanStep& s = steps[op.pc];
+      const trace::Op& s = steps[op.pc];
       try {
         // Post the receive half first so an inbound eager payload can land
         // directly in the user buffer instead of a mailbox copy.
-        if (s.kind != coll::PlanStep::Kind::Send) {
-          op.recv_req = comm_->irecv(op.buffer.subspan(s.recv_off, s.recv_len),
-                                     op.world_rank(s.src), op.world_tag(s.tag));
+        if (s.has_recv()) {
+          op.recv_req = comm_->irecv(op.buffer.subspan(s.recv_off, s.recv_cap),
+                                     op.world_rank(s.src),
+                                     op.world_tag(s.recv_tag));
           op.recv_live = true;
         }
-        if (s.kind != coll::PlanStep::Kind::Recv) {
+        if (s.has_send()) {
           op.send_req = comm_->isend(
-              std::span<const std::byte>(op.buffer).subspan(s.send_off, s.send_len),
-              op.world_rank(s.dst), op.world_tag(s.tag));
+              std::span<const std::byte>(op.buffer).subspan(s.send_off,
+                                                            s.send_bytes),
+              op.world_rank(s.dst), op.world_tag(s.send_tag));
           op.send_live = true;
         }
       } catch (...) {

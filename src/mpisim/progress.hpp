@@ -1,5 +1,5 @@
 // Per-rank progress engine for nonblocking collectives: advances precompiled
-// coll::Plan step lists via isend/irecv without blocking between steps, so
+// coll::Plan op lists via isend/irecv without blocking between steps, so
 // many collectives can be in flight per rank at once (the concurrent-serving
 // workload from ROADMAP item 3). core::ibcast / core::iallgather start ops
 // here and hand back CollRequests with test/wait/wait_all semantics matching
@@ -77,7 +77,7 @@ void wait_all_coll(std::span<CollRequest> requests);
 
 class ProgressEngine {
  public:
-  /// Start executing `plan`'s step list for `local_rank` over `buffer`
+  /// Start executing `plan`'s op list for `local_rank` over `buffer`
   /// (valid until completion). `members` maps the plan's ranks to world
   /// ranks (empty = identity, i.e. the plan runs on the world itself);
   /// `context` is the SubComm tag namespace (0 = world). The first steps

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,5 +69,36 @@ struct Schedule {
   /// paper's measurement loop (one barrier, then N broadcasts).
   Schedule replicate(int iters) const;
 };
+
+/// Order-sensitive, word-wise FNV-1a hash over a schedule's shape and every
+/// op field (one multiply per field stays cheap on the 16M-op P=4096 ring
+/// schedules). Equal fingerprints mean op-for-op identical schedules. The
+/// rotation-equivalence prover streams it one rank at a time while
+/// recording; coll::Plan::fingerprint hashes the whole stored schedule.
+class Fingerprint {
+ public:
+  Fingerprint(int nranks, std::uint64_t nbytes) noexcept;
+  /// Mix in the next rank's op list (ranks in order 0..nranks-1).
+  void add_rank(std::span<const Op> ops) noexcept;
+  std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  void mix(std::uint64_t v) noexcept;
+  std::uint64_t h_;
+};
+
+/// The Fingerprint of a whole stored schedule.
+std::uint64_t fingerprint(const Schedule& sched) noexcept;
+
+/// Relabel a root-canonical (root-0) rank's op list into the frame of
+/// `root`: every peer p becomes abs_rank(p, root, nranks); kinds, tags,
+/// sizes and offsets are unchanged. Executors apply the same mapping on
+/// the fly (coll::execute_plan_rank, the progress engine's member map).
+std::vector<Op> rotate_ops(std::span<const Op> ops, int root, int nranks);
+
+/// The schedule a root-canonical schedule performs when executed at
+/// `root`: absolute rank abs_rank(rel, root, P) runs rank rel's ops,
+/// rotated by rotate_ops.
+Schedule rotate_schedule(const Schedule& canonical, int root);
 
 }  // namespace bsb::trace

@@ -14,37 +14,6 @@ namespace bsb::verify {
 namespace {
 
 using trace::Op;
-using trace::OpKind;
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-constexpr std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) noexcept {
-  return (h ^ v) * kFnvPrime;
-}
-
-/// Hash a recorded op with the same field order Plan::fingerprint uses for
-/// the equivalent PlanStep, so the streamed root-0 recording and a plan
-/// compiled from the same program fingerprint identically.
-std::uint64_t mix_op(std::uint64_t h, const Op& op) noexcept {
-  std::uint64_t kind = 0;
-  switch (op.kind) {
-    case OpKind::Send: kind = 0; break;
-    case OpKind::Recv: kind = 1; break;
-    case OpKind::SendRecv: kind = 2; break;
-    case OpKind::Barrier: kind = 3; break;
-  }
-  const int tag = op.has_send() ? op.send_tag : op.recv_tag;
-  h = fnv_mix(h, kind);
-  h = fnv_mix(h, static_cast<std::uint64_t>(op.has_send() ? op.dst : -1));
-  h = fnv_mix(h, op.has_send() ? op.send_off : 0);
-  h = fnv_mix(h, op.has_send() ? op.send_bytes : 0);
-  h = fnv_mix(h, static_cast<std::uint64_t>(op.has_recv() ? op.src : -1));
-  h = fnv_mix(h, op.has_recv() ? op.recv_off : 0);
-  h = fnv_mix(h, op.has_recv() ? op.recv_cap : 0);
-  h = fnv_mix(h, static_cast<std::uint64_t>(tag));
-  return h;
-}
 
 void diverge(RotationReport* rep, int rank, int step, const char* field,
              std::string detail) {
@@ -160,14 +129,6 @@ void compare_matchings(const trace::Schedule& rotated,
   }
 }
 
-/// Relabel a recorded root-0 op's peers into the root-r frame.
-Op rotate_op(const Op& op, int root, int P) {
-  Op out = op;
-  if (op.has_send()) out.dst = abs_rank(op.dst, root, P);
-  if (op.has_recv()) out.src = abs_rank(op.src, root, P);
-  return out;
-}
-
 }  // namespace
 
 std::string RotationReport::to_string() const {
@@ -216,33 +177,27 @@ RotationReport prove_rotation_equivalence(const fuzz::FuzzCase& c,
     rotated.ops.resize(static_cast<std::size_t>(P));
   }
 
-  std::uint64_t fp = kFnvOffset;
-  fp = fnv_mix(fp, static_cast<std::uint64_t>(P));
-  fp = fnv_mix(fp, c.nbytes);
-
+  trace::Fingerprint fp(P, c.nbytes);
   std::vector<std::byte> scratch(c.nbytes);
   std::vector<Op> ops;
-  std::vector<Op> rotated_ops;
   for (int rel = 0; rel < P; ++rel) {
     ops.clear();
     trace::RecordingComm recorder(rel, P, scratch, ops);
     body(recorder, scratch);
-    fp = fnv_mix(fp, ops.size());
-    for (const Op& op : ops) fp = mix_op(fp, op);
+    fp.add_rank(ops);
     const int abs = abs_rank(rel, root, P);
-    rotated_ops.clear();
-    rotated_ops.reserve(ops.size());
-    for (const Op& op : ops) rotated_ops.push_back(rotate_op(op, root, P));
+    std::vector<Op> rotated_ops = trace::rotate_ops(ops, root, P);
     if (!compare_rank(abs, rotated_ops, fresh.ops[static_cast<std::size_t>(abs)],
                       &rep)) {
-      rep.plan_fingerprint = fp;  // partial: still names the prefix proven
+      // Partial: the fingerprint still names the prefix proven.
+      rep.plan_fingerprint = fp.value();
       return rep;
     }
     if (full_graph) {
-      rotated.ops[static_cast<std::size_t>(abs)] = rotated_ops;
+      rotated.ops[static_cast<std::size_t>(abs)] = std::move(rotated_ops);
     }
   }
-  rep.plan_fingerprint = fp;
+  rep.plan_fingerprint = fp.value();
   if (full_graph) compare_matchings(rotated, fresh, &rep);
   return rep;
 }
@@ -254,7 +209,7 @@ RotationReport prove_plan_rotation(const coll::Plan& plan, int root,
   const int P = plan.nranks;
   BSB_REQUIRE(fresh.nranks == P,
               "prove_plan_rotation: schedule/plan rank mismatch");
-  const trace::Schedule rotated = coll::plan_to_schedule(plan, root);
+  const trace::Schedule rotated = trace::rotate_schedule(plan, root);
   for (int r = 0; r < P; ++r) {
     if (!compare_rank(r, rotated.ops[static_cast<std::size_t>(r)],
                       fresh.ops[static_cast<std::size_t>(r)], &rep)) {

@@ -501,14 +501,14 @@ TEST(PersistentBcast, StepCountMatchesPlan) {
     if (comm.rank() == 0) {
       EXPECT_EQ(plan.steps().size(), 10u);
       for (const auto& s : plan.steps()) {
-        EXPECT_EQ(s.kind, core::BcastStep::Kind::Send);
+        EXPECT_EQ(s.kind, trace::OpKind::Send);
       }
     }
     if (comm.rank() == 7) {
       // Left of the root: receive-only in the tuned ring (plus its scatter
       // receive).
       for (const auto& s : plan.steps()) {
-        EXPECT_EQ(s.kind, core::BcastStep::Kind::Recv);
+        EXPECT_EQ(s.kind, trace::OpKind::Recv);
       }
     }
     const std::string d = plan.describe();

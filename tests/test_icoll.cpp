@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "bsbutil/rng.hpp"
@@ -40,31 +41,59 @@ TEST(Plan, CompilesBcastForEveryRankAndCountsSends) {
   const int P = 8;
   const std::uint64_t nbytes = 1 << 20;
   const coll::Plan plan = coll::compile_plan(
-      P, nbytes, /*root=*/0, "tuned",
+      P, nbytes, "tuned",
       [](Comm& c, std::span<std::byte> buf) {
         core::run_bcast_algorithm(core::BcastAlgorithm::ScatterRingTuned, c,
                                   buf, 0);
       });
-  ASSERT_EQ(plan.steps.size(), 8u);
+  ASSERT_EQ(plan.ops.size(), 8u);
   const std::uint64_t expected =
       core::scatter_transfers(P, nbytes) + core::tuned_ring_transfers(P);
   EXPECT_EQ(plan.total_sends(), expected);  // 7 + 44 at P=8
   EXPECT_LT(plan.max_tag, mpisim::ProgressEngine::kCtxStride);
 }
 
-TEST(Plan, RejectsBarriers) {
-  EXPECT_THROW(coll::compile_plan(2, 16, 0, "barrier",
-                                  [](Comm& c, std::span<std::byte>) {
-                                    c.barrier();
-                                  }),
-               PreconditionError);
+TEST(Plan, RejectsUnreplayablePrograms) {
+  // A plan replays offset-relative over the one collective buffer, with
+  // one tag per op: each of these programs breaks that.
+  struct Rejected {
+    const char* message;
+    trace::RankProgram program;
+  };
+  const Rejected table[] = {
+      {"compile_plan: algorithm uses barriers",
+       [](Comm& c, std::span<std::byte>) { c.barrier(); }},
+      {"compile_plan: algorithm used scratch memory",
+       [](Comm& c, std::span<std::byte>) {
+         std::vector<std::byte> foreign(4);
+         if (c.rank() == 0) {
+           c.send(foreign, 1, 0);
+         } else {
+           c.recv(foreign, 0, 0);
+         }
+       }},
+      {"compile_plan: sendrecv halves use different tags",
+       [](Comm& c, std::span<std::byte> buf) {
+         const int peer = 1 - c.rank();
+         c.sendrecv(buf.first(8), peer, /*sendtag=*/1, buf.last(8), peer,
+                    /*recvtag=*/2);
+       }},
+  };
+  for (const Rejected& r : table) {
+    try {
+      coll::compile_plan(2, 16, "rejected", r.program);
+      ADD_FAILURE() << "accepted a program that should fail: " << r.message;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(r.message), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Plan, BlockingReplayMatchesDirectRun) {
   const int P = 10;
   const std::uint64_t nbytes = 30000;
   auto plan = core::bcast_plan(P, nbytes, /*root=*/4);
-  EXPECT_EQ(plan->root, 0);  // root-canonical: compiled once, rotated at use
   mpisim::World world(P);
   world.run([&](mpisim::ThreadComm& comm) {
     std::vector<std::byte> buf(nbytes);
@@ -79,25 +108,25 @@ TEST(Plan, BlockingReplayMatchesDirectRun) {
 TEST(ScheduleCache, HitMissAndEvictionCounters) {
   coll::ScheduleCache cache(/*capacity=*/2);
   int builds = 0;
-  const auto build = [&](int root) {
-    return [&builds, root] {
+  const auto build = [&](std::uint64_t nbytes) {
+    return [&builds, nbytes] {
       ++builds;
-      return coll::compile_plan(4, 64, root, "bcast",
-                                [root](Comm& c, std::span<std::byte> buf) {
-                                  core::bcast(c, buf, root);
+      return coll::compile_plan(4, nbytes, "bcast",
+                                [](Comm& c, std::span<std::byte> buf) {
+                                  core::bcast(c, buf, 0);
                                 });
     };
   };
-  const coll::PlanKey k0{4, 0, 64, 0}, k1{4, 1, 64, 0}, k2{4, 2, 64, 0};
+  const coll::PlanKey k0{4, 64, 0}, k1{4, 128, 0}, k2{4, 256, 0};
 
-  auto p0 = cache.get_or_build(k0, build(0));
+  auto p0 = cache.get_or_build(k0, build(64));
   EXPECT_EQ(builds, 1);
-  auto p0b = cache.get_or_build(k0, build(0));
+  auto p0b = cache.get_or_build(k0, build(64));
   EXPECT_EQ(builds, 1);
   EXPECT_EQ(p0.get(), p0b.get());  // same shared plan
 
-  cache.get_or_build(k1, build(1));
-  cache.get_or_build(k2, build(2));  // capacity 2: evicts k0 (LRU)
+  cache.get_or_build(k1, build(128));
+  cache.get_or_build(k2, build(256));  // capacity 2: evicts k0 (LRU)
   EXPECT_EQ(builds, 3);
 
   const auto s1 = cache.stats();
@@ -107,7 +136,7 @@ TEST(ScheduleCache, HitMissAndEvictionCounters) {
   EXPECT_EQ(s1.size, 2u);
   EXPECT_DOUBLE_EQ(s1.hit_rate(), 0.25);
 
-  cache.get_or_build(k0, build(0));  // rebuilt after eviction
+  cache.get_or_build(k0, build(64));  // rebuilt after eviction
   EXPECT_EQ(builds, 4);
   // The evicted plan handle stays alive through its shared_ptr.
   EXPECT_EQ(p0->nranks, 4);
@@ -120,32 +149,31 @@ TEST(ScheduleCache, HitMissAndEvictionCounters) {
 
 TEST(ScheduleCache, LruRefreshOnHit) {
   coll::ScheduleCache cache(/*capacity=*/2);
-  const auto build = [](int root) {
-    return coll::compile_plan(2, 8, root, "b",
-                              [root](Comm& c, std::span<std::byte> buf) {
-                                core::bcast(c, buf, root);
+  const auto build = [](std::uint64_t nbytes) {
+    return coll::compile_plan(2, nbytes, "b",
+                              [](Comm& c, std::span<std::byte> buf) {
+                                core::bcast(c, buf, 0);
                               });
   };
-  const coll::PlanKey k0{2, 0, 8, 0}, k1{2, 1, 8, 0}, k2{2, 0, 8, 1};
-  cache.get_or_build(k0, [&] { return build(0); });
-  cache.get_or_build(k1, [&] { return build(1); });
-  cache.get_or_build(k0, [&] { return build(0); });  // refresh k0
-  cache.get_or_build(k2, [&] { return build(0); });  // evicts k1, not k0
+  const coll::PlanKey k0{2, 8, 0}, k1{2, 16, 0}, k2{2, 8, 1};
+  cache.get_or_build(k0, [&] { return build(8); });
+  cache.get_or_build(k1, [&] { return build(16); });
+  cache.get_or_build(k0, [&] { return build(8); });  // refresh k0
+  cache.get_or_build(k2, [&] { return build(8); });  // evicts k1, not k0
   const auto before = cache.stats();
-  cache.get_or_build(k0, [&] { return build(0); });
+  cache.get_or_build(k0, [&] { return build(8); });
   EXPECT_EQ(cache.stats().hits, before.hits + 1);  // k0 survived
 }
 
 TEST(ScheduleCache, SetCapacityEvicts) {
   coll::ScheduleCache cache(/*capacity=*/8);
-  for (int root = 0; root < 4; ++root) {
-    cache.get_or_build(
-        {4, root, 32, 0}, [root] {
-          return coll::compile_plan(4, 32, root, "b",
-                                    [root](Comm& c, std::span<std::byte> buf) {
-                                      core::bcast(c, buf, root);
-                                    });
-        });
+  for (int algorithm = 0; algorithm < 4; ++algorithm) {
+    cache.get_or_build({4, 32, algorithm}, [] {
+      return coll::compile_plan(4, 32, "b",
+                                [](Comm& c, std::span<std::byte> buf) {
+                                  core::bcast(c, buf, 0);
+                                });
+    });
   }
   cache.set_capacity(1);
   const auto s = cache.stats();

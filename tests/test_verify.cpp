@@ -607,7 +607,7 @@ TEST(Rotation, SwappedPeerInCachedPlanYieldsMinimalWitness) {
   fuzz::FuzzCase canonical = c;
   canonical.root = 0;
   coll::Plan plan =
-      coll::compile_plan(c.nranks, c.nbytes, 0, "bcast-scatter-ring-tuned",
+      coll::compile_plan(c.nranks, c.nbytes, "bcast-scatter-ring-tuned",
                          fuzz::make_rank_body(canonical));
 
   // The honest plan proves equivalent, matchings included.
@@ -618,10 +618,10 @@ TEST(Rotation, SwappedPeerInCachedPlanYieldsMinimalWitness) {
 
   // Swap one Send peer: the witness must name the exact rank/step/field.
   bool swapped = false;
-  for (auto& steps : plan.steps) {
-    for (auto& step : steps) {
-      if (step.kind == coll::PlanStep::Kind::Send) {
-        step.dst = (step.dst + 1) % plan.nranks;
+  for (auto& ops : plan.ops) {
+    for (auto& op : ops) {
+      if (op.kind == trace::OpKind::Send) {
+        op.dst = (op.dst + 1) % plan.nranks;
         swapped = true;
         break;
       }
@@ -648,12 +648,12 @@ TEST(Rotation, PlanToScheduleMatchesFreshRecordingEvenUnrotated) {
   const trace::Schedule fresh =
       trace::record_schedule(c.nranks, c.nbytes, fuzz::make_rank_body(c));
   const coll::Plan plan =
-      coll::compile_plan(c.nranks, c.nbytes, 0, "allgather-ring-tuned",
+      coll::compile_plan(c.nranks, c.nbytes, "allgather-ring-tuned",
                          fuzz::make_rank_body(c));
-  const trace::Schedule expanded = coll::plan_to_schedule(plan, 0);
-  ASSERT_EQ(expanded.nranks, fresh.nranks);
-  EXPECT_EQ(expanded.total_ops(), fresh.total_ops());
-  EXPECT_EQ(expanded.total_send_bytes(), fresh.total_send_bytes());
+  // A plan IS its recorded schedule, and rotating it to root 0 is a no-op.
+  EXPECT_EQ(plan.fingerprint(), trace::fingerprint(fresh));
+  EXPECT_EQ(trace::fingerprint(trace::rotate_schedule(plan, 0)),
+            plan.fingerprint());
   const RotationReport rep = prove_plan_rotation(plan, 0, fresh);
   EXPECT_TRUE(rep.ok) << rep.to_string();
 }
@@ -684,7 +684,7 @@ TEST(Rotation, HundredSeedsAgreeWithByteOracleAcrossAllRoots) {
     canonical.root = 0;
     canonical = fuzz::normalize_case(canonical);
     const coll::Plan plan =
-        coll::compile_plan(canonical.nranks, canonical.nbytes, 0,
+        coll::compile_plan(canonical.nranks, canonical.nbytes,
                            fuzz::to_string(canonical.variant),
                            fuzz::make_rank_body(canonical));
     for (int root = 0; root < canonical.nranks; ++root) {
@@ -694,6 +694,13 @@ TEST(Rotation, HundredSeedsAgreeWithByteOracleAcrossAllRoots) {
       const CaseResult res = verify_case(rotated);
       ASSERT_TRUE(res.rotation_checked) << describe(rotated);
       ASSERT_TRUE(res.ok) << res.summary();
+      // The prover streams its fingerprint while re-recording the root-0
+      // body; it must name exactly the plan the cache would compile.
+      const trace::Schedule fresh = trace::record_schedule(
+          rotated.nranks, rotated.nbytes, fuzz::make_rank_body(rotated));
+      EXPECT_EQ(prove_rotation_equivalence(rotated, fresh).plan_fingerprint,
+                plan.fingerprint())
+          << describe(rotated);
       const std::uint64_t seed =
           0xB0A5'0000u + i * 131 + static_cast<std::uint64_t>(root);
       mpisim::World world(canonical.nranks);

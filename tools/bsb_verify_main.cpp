@@ -192,12 +192,12 @@ bsb::verify::RotationReport sabotaged_rotation_report() {
   bsb::fuzz::FuzzCase canonical = c;
   canonical.root = 0;
   bsb::coll::Plan plan = bsb::coll::compile_plan(
-      c.nranks, c.nbytes, 0, "bcast-scatter-ring-tuned",
+      c.nranks, c.nbytes, "bcast-scatter-ring-tuned",
       bsb::fuzz::make_rank_body(canonical));
-  for (auto& steps : plan.steps) {
-    for (auto& step : steps) {
-      if (step.kind == bsb::coll::PlanStep::Kind::Send) {
-        step.dst = (step.dst + 1) % plan.nranks;  // misroute one message
+  for (auto& ops : plan.ops) {
+    for (auto& op : ops) {
+      if (op.kind == bsb::trace::OpKind::Send) {
+        op.dst = (op.dst + 1) % plan.nranks;  // misroute one message
         return bsb::verify::prove_plan_rotation(plan, c.root, fresh);
       }
     }
